@@ -3,8 +3,10 @@
 The big GEMMs in the fused kernels run inside whatever BLAS numpy was built
 on (OpenBLAS for the wheels this repro pins).  That library owns its own
 thread pool, sized at load time from the machine's core count — which is
-exactly wrong once the simulator forks one worker process per client: N
-workers x M BLAS threads oversubscribes N*M ways and every GEMM slows down.
+exactly wrong once the simulator trains several clients at once: N
+concurrent trainers x M BLAS threads oversubscribes N*M ways and every GEMM
+slows down, whether the trainers are forked workers with a pool each or
+threads sharing one pool.
 
 ``threadpoolctl`` is the usual answer but is not a dependency of this repo,
 so this module speaks to the loaded BLAS directly: it finds the shared
@@ -15,8 +17,11 @@ a no-op — ``None`` returns — when the platform or the BLAS flavour does not
 cooperate; callers must treat thread pinning as best-effort.
 
 Used by the ``blas`` array backend (:mod:`repro.autograd.backend`) and by
-the process-per-client runner, which pins children to
-``max(1, cores // workers)`` threads (see ``docs/PERFORMANCE.md``).
+the simulator, which applies one policy on every fabric: with ``k =
+min(max_parallel, n_clients)`` clients training at once, each pool gets
+``recommended_blas_threads(k) = max(1, cores // k)`` threads — every forked
+worker's pool, or the parent process's one shared pool while threaded
+memory-fabric clients train (see ``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
@@ -154,8 +159,9 @@ def blas_thread_info() -> dict:
 def recommended_blas_threads(workers: int) -> int:
     """Per-worker BLAS threads that avoid oversubscription.
 
-    With ``workers`` processes training concurrently the pools must share
-    the machine: ``max(1, cores // workers)``.
+    With ``workers`` clients training concurrently — processes with a pool
+    each, or threads sharing one — the pools must share the machine:
+    ``max(1, cores // workers)``.
     """
     try:
         cores = len(os.sched_getaffinity(0))

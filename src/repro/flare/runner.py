@@ -68,9 +68,12 @@ class WorkerRuntime:
     hook, while the numpy default dtype, the array backend and the BLAS
     thread-pool size are plain process state the parent captures here so
     every worker trains under the same configuration.  ``blas_threads``
-    should be ``recommended_blas_threads(n_workers)`` — N workers each
-    running an M-thread BLAS pool oversubscribe N*M ways otherwise (see
-    ``docs/PERFORMANCE.md``).
+    should be ``recommended_blas_threads(trainers)``, where ``trainers`` is
+    how many clients train at once (``min(max_parallel, n_clients)``) —
+    N concurrent trainers each running an M-thread BLAS pool oversubscribe
+    N*M ways otherwise.  The simulator applies the same split to its own
+    pool when clients are threads on the memory fabric, so every fabric
+    trains under one core budget (see ``docs/PERFORMANCE.md``).
     """
 
     default_dtype: str | None = None
@@ -86,7 +89,8 @@ class WorkerRuntime:
     @classmethod
     def capture(cls, workers: int, telemetry: bool = False,
                 sysmon: float | None = None) -> "WorkerRuntime":
-        """Snapshot the parent's runtime, splitting BLAS threads ``workers`` ways."""
+        """Snapshot the parent's runtime, splitting BLAS threads ``workers``
+        ways (``workers`` = how many workers train at once)."""
         from ..autograd import get_backend, get_default_dtype
         from ..autograd._blas import recommended_blas_threads
 

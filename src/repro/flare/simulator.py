@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..autograd._blas import recommended_blas_threads, set_blas_threads
 from ..obs.health import HealthMonitor
 from ..obs.session import TelemetrySession, _sysmon_interval
 from . import codec as wire_codec_module
@@ -24,7 +25,7 @@ from .async_controller import AsyncScatterAndGather
 from .client import FederatedClient
 from .controller import ScatterAndGather
 from .dxo import set_wire_codec
-from .events import LogCapture
+from .events import LogCapture, get_fl_logger
 from .faults import FaultPlan, FaultyMessageBus
 from .filters import CompressionConfig
 from .fl_context import FLContext
@@ -162,11 +163,21 @@ class SimulatorRunner:
         self.metrics_exporter = session.exporter if session is not None else None
         previous_codec = (set_wire_codec(self.wire_codec)
                           if self.wire_codec is not None else None)
+        # Threaded clients share this process's BLAS pool, so it gets the
+        # split forked workers get: one core budget for every fabric.  Set
+        # before any client thread serves; restored once all have joined.
+        # The sequential drive trains one client at a time on the full pool.
+        self._client_threads: list[threading.Thread] = []
+        previous_blas = (set_blas_threads(recommended_blas_threads(
+            self._concurrent_trainers()))
+            if self.transport == "memory" and self.threads else None)
         try:
             return self._run_inner(capture, session, monitor)
         finally:
             if previous_codec is not None:
                 set_wire_codec(previous_codec)
+            if previous_blas is not None:
+                self._restore_blas_threads(previous_blas)
             if session is not None:
                 session.stop()  # finalizes the health artifact too
             elif monitor is not None:
@@ -174,6 +185,21 @@ class SimulatorRunner:
             self.metrics_exporter = None
             if capture is not None:
                 capture.detach()
+
+    def _concurrent_trainers(self) -> int:
+        """How many clients train at once: what the BLAS split divides by."""
+        return min(self.max_parallel, self.n_clients)
+
+    def _restore_blas_threads(self, previous: int) -> None:
+        stragglers = [thread.name for thread in self._client_threads
+                      if thread.is_alive()]
+        if stragglers:
+            # resizing the pool under a thread still inside a GEMM is unsafe
+            get_fl_logger().warning(
+                "leaving the BLAS pool pinned: %s outlived the stop join",
+                ", ".join(stragglers))
+            return
+        set_blas_threads(previous)
 
     # ------------------------------------------------------------------
     def _run_inner(self, capture: LogCapture | None,
@@ -236,7 +262,7 @@ class SimulatorRunner:
                 extra_result_filters=list(self.job.task_result_filters),
                 fault_plan=self.fault_plan,
                 max_parallel=self.max_parallel,
-                runtime=WorkerRuntime.capture(len(client_names),
+                runtime=WorkerRuntime.capture(self._concurrent_trainers(),
                                               telemetry=self.telemetry,
                                               sysmon=self.sysmon_interval),
                 trace_id=trace_id,
@@ -266,8 +292,8 @@ class SimulatorRunner:
                 clients.append(client)
 
             if self.threads:
-                for client in clients:
-                    client.serve_in_thread()
+                self._client_threads = [client.serve_in_thread()
+                                        for client in clients]
 
         persistor = ModelPersistor(self.run_dir / "models")
         sampler = make_sampler(self.job.sampler,

@@ -551,6 +551,12 @@ class SocketMessageBus(BaseTransport):
             return
         self._closed.set()
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept() on
+            # Linux; shutdown() does, so the accept loop exits at once.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:  # pragma: no cover

@@ -11,6 +11,7 @@ comparisons are apples-to-apples.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -29,6 +30,13 @@ __all__ = ["SchemeResult", "StandaloneResult", "FederatedResult",
            "run_centralized_mlm", "run_federated_mlm"]
 
 ModelFactory = Callable[[], Module]
+
+
+def _site_seed(seed: int, site_name: str) -> int:
+    """A site's learner seed: stable across interpreters (blake2b of the
+    name), unlike ``hash()``, which ``PYTHONHASHSEED`` randomizes."""
+    digest = hashlib.blake2b(site_name.encode("utf-8"), digest_size=8).digest()
+    return seed + int.from_bytes(digest, "little") % 1000
 
 
 @dataclass
@@ -126,7 +134,7 @@ def run_federated(model_factory: ModelFactory,
             site_name=client_name, model_factory=model_factory,
             train_data=shard, valid_data=valid,
             local_epochs=local_epochs, batch_size=batch_size, lr=lr,
-            seed=seed + hash(client_name) % 1000,
+            seed=_site_seed(seed, client_name),
             class_weights=class_weights, fedprox_mu=fedprox_mu)
 
     job = FLJob(name=job_name,
@@ -179,7 +187,7 @@ def run_federated_mlm(model_factory: ModelFactory,
             site_name=client_name, model_factory=model_factory,
             train_data=shards[client_name], collator=collator,
             local_epochs=local_epochs, batch_size=batch_size, lr=lr,
-            seed=seed + hash(client_name) % 1000)
+            seed=_site_seed(seed, client_name))
 
     job = FLJob(name=job_name,
                 initial_weights=model_factory().state_dict(),

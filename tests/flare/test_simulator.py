@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
+from repro.autograd import blas_thread_info, get_blas_threads, set_blas_threads
+from repro.autograd._blas import recommended_blas_threads
 from repro.flare import FLJob, SimulatorRunner
+from repro.flare import simulator as simulator_module
+from repro.flare.runner import WorkerRuntime
 
 from .helpers import ToyLearner, toy_weights
 
@@ -111,6 +118,110 @@ class TestSequentialRun:
                                      run_dir=tmp_path / "s").run()
         np.testing.assert_allclose(threaded.final_weights["layer.weight"],
                                    sequential.final_weights["layer.weight"])
+
+
+class PoolProbe(ToyLearner):
+    """Records the BLAS pool size every time it trains."""
+
+    def __init__(self, site_name: str, seen: list) -> None:
+        super().__init__(site_name)
+        self.seen = seen
+
+    def train(self, dxo, fl_ctx):
+        self.seen.append(get_blas_threads())
+        return super().train(dxo, fl_ctx)
+
+
+@pytest.fixture()
+def blas_pool():
+    """Skips without BLAS thread control; restores the pool afterwards."""
+    if not blas_thread_info()["controllable"]:
+        pytest.skip("the loaded BLAS exposes no thread-count control")
+    before = get_blas_threads()
+    yield
+    set_blas_threads(before)
+
+
+def probe_job(seen: list, num_rounds: int = 2) -> FLJob:
+    return FLJob(name="pool", initial_weights=toy_weights(0.0),
+                 learner_factory=lambda name: PoolProbe(name, seen),
+                 num_rounds=num_rounds)
+
+
+class TestBlasCoreBudget:
+    """One policy on every fabric: each BLAS pool gets
+    ``recommended_blas_threads(min(max_parallel, n_clients))`` threads."""
+
+    def test_threaded_clients_train_on_the_split_pool(self, blas_pool,
+                                                      tmp_path):
+        seen: list = []
+        SimulatorRunner(probe_job(seen), n_clients=4, max_parallel=2,
+                        run_dir=tmp_path).run()
+        assert seen and set(seen) == {recommended_blas_threads(2)}
+
+    def test_sequential_drive_keeps_the_full_pool(self, blas_pool, tmp_path):
+        full = recommended_blas_threads(1) + 1  # distinct from any split
+        set_blas_threads(full)
+        seen: list = []
+        SimulatorRunner(probe_job(seen), n_clients=4, max_parallel=2,
+                        threads=False, run_dir=tmp_path).run()
+        assert seen and set(seen) == {full}
+
+    def test_pool_restored_after_run(self, blas_pool, tmp_path):
+        before = recommended_blas_threads(2) + 1  # observable on any box
+        set_blas_threads(before)
+        SimulatorRunner(probe_job([]), n_clients=4, max_parallel=2,
+                        run_dir=tmp_path).run()
+        assert get_blas_threads() == before
+
+    def test_pool_restored_when_the_controller_raises(self, blas_pool,
+                                                      tmp_path, monkeypatch):
+        def explode(self):
+            raise RuntimeError("controller failed")
+
+        monkeypatch.setattr(simulator_module.ScatterAndGather, "run", explode)
+        before = recommended_blas_threads(2) + 1
+        set_blas_threads(before)
+        with pytest.raises(RuntimeError, match="controller failed"):
+            SimulatorRunner(probe_job([]), n_clients=4, max_parallel=2,
+                            run_dir=tmp_path).run()
+        assert get_blas_threads() == before
+
+    def test_pool_stays_pinned_while_a_client_thread_survives(self, blas_pool):
+        # a learner still training after the stop join may be inside a GEMM
+        release = threading.Event()
+        straggler = threading.Thread(target=release.wait, name="client-site-1")
+        straggler.start()
+        try:
+            runner = SimulatorRunner(probe_job([]), n_clients=1)
+            runner._client_threads = [straggler]
+            set_blas_threads(1)
+            runner._restore_blas_threads(recommended_blas_threads(1) + 1)
+            assert get_blas_threads() == 1
+        finally:
+            release.set()
+            straggler.join(timeout=5.0)
+        assert not straggler.is_alive()
+        runner._restore_blas_threads(recommended_blas_threads(1) + 1)
+        assert get_blas_threads() == recommended_blas_threads(1) + 1
+
+    def test_forked_workers_split_by_concurrent_trainers(self, tmp_path,
+                                                         monkeypatch):
+        # 8 cores, 4 sites, 2 training at once: 4 threads per worker (the
+        # old split by site count gave 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        captured: list[WorkerRuntime] = []
+        capture = WorkerRuntime.capture.__func__
+
+        def spy(cls, workers, **kwargs):
+            captured.append(capture(cls, workers, **kwargs))
+            return captured[-1]
+
+        monkeypatch.setattr(WorkerRuntime, "capture", classmethod(spy))
+        result = SimulatorRunner(probe_job([]), n_clients=4, max_parallel=2,
+                                 transport="shm", run_dir=tmp_path).run()
+        assert result.stats.num_rounds == 2
+        assert [runtime.blas_threads for runtime in captured] == [4]
 
 
 class TestValidation:

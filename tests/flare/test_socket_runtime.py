@@ -11,10 +11,13 @@ precision — any surviving difference is a transport bug.
 from __future__ import annotations
 
 import json
+import time
 
 import numpy as np
 import pytest
 
+from repro.autograd import blas_thread_info, get_blas_threads, set_blas_threads
+from repro.autograd._blas import recommended_blas_threads
 from repro.data import MlmCollator, SequenceDataset, partition_balanced
 from repro.flare import (
     FederatedClient,
@@ -97,6 +100,18 @@ class TestSocketEndToEnd:
         memory_result = run_sim(job, "memory", tmp_path, "mlm")
         socket_result = run_sim(job, "socket", tmp_path, "mlm")
         assert_bit_identical(memory_result, socket_result)
+        if blas_thread_info()["controllable"]:
+            # the BLAS pool size is not an input either: the sequential
+            # drive trains on the parent's pool, pinned to 1 or full
+            before = get_blas_threads()
+            try:
+                for threads in (1, recommended_blas_threads(1)):
+                    set_blas_threads(threads)
+                    pooled = run_sim(job, "memory", tmp_path,
+                                     f"mlm-pool{threads}", threads=False)
+                    assert_bit_identical(memory_result, pooled)
+            finally:
+                set_blas_threads(before)
 
     def test_health_monitor_over_sockets(self, tmp_path):
         result = run_sim(toy_job(), "socket", tmp_path, "health", health=True)
@@ -173,6 +188,28 @@ class TestRunnerAndConfig:
         exit_codes = runner.join(timeout=20.0)
         assert exit_codes == {"site-1": 0, "site-2": 0}
         hub.close()
+
+    def test_hub_close_is_prompt_and_joins_every_helper_thread(self):
+        """Regression: close() used to wait out a 2 s join on a thread
+        still blocked in accept() and leave it alive."""
+        from repro.flare.socket_transport import SocketMessageBus
+
+        hub = SocketMessageBus()
+        spoke = SocketMessageBus.connect(hub.address)
+        try:
+            hub.register_endpoint("server")
+            spoke.register_endpoint("site-1")
+            hub.wait_for_endpoints(["site-1"], timeout=10.0)
+            started = time.perf_counter()
+            hub.close()
+            elapsed = time.perf_counter() - started
+        finally:
+            spoke.close()
+        assert elapsed < 0.1
+        for thread in hub._threads:
+            thread.join(timeout=1.0)
+        assert [thread.name for thread in hub._threads
+                if thread.is_alive()] == []
 
     def test_poll_once_timeout_names_the_stalled_wait(self):
         """Regression: a client's idle receive names topic and server peer."""

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -83,3 +88,61 @@ class TestMlmSchemes:
         assert len(losses) == 2
         assert all(np.isfinite(losses))
         assert simulation.stats.num_rounds == 2
+
+
+# Runs a tiny FL job of each objective and prints a digest of both final
+# checkpoints.  The sequential drive keeps thread scheduling out of it, so
+# the per-site learner seeds are the only thing the interpreter could vary.
+_FRESH_INTERPRETER_RUN = textwrap.dedent("""
+    import hashlib, logging, tempfile
+    from repro.data import (CohortSpec, EhrTokenizer, MlmCollator,
+                            SequenceDataset, encode_cohort, generate_cohort,
+                            partition_balanced, train_valid_split)
+    from repro.flare import set_console_level
+    from repro.models import build_classifier, build_mlm_model
+    from repro.training import run_federated, run_federated_mlm
+
+    set_console_level(logging.ERROR)
+    cohort = generate_cohort(CohortSpec(n_patients=120, seed=5))
+    dataset = encode_cohort(cohort, EhrTokenizer(cohort.vocab, max_len=24))
+    train_idx, valid_idx = train_valid_split(len(dataset), 0.25, seed=5)
+    train, valid = dataset.subset(train_idx), dataset.subset(valid_idx)
+    vocab = len(cohort.vocab)
+
+    def shards_of(data):
+        return {f"site-{i + 1}": data.subset(s) for i, s in
+                enumerate(partition_balanced(len(data), 2, seed=0))}
+
+    digest = hashlib.sha256()
+    result = run_federated(
+        lambda: build_classifier("lstm-tiny", vocab_size=vocab, seed=4),
+        shards_of(train), valid, num_rounds=1, local_epochs=1,
+        threads=False, run_dir=tempfile.mkdtemp())
+    weights = result.simulation.final_weights
+    sequences = SequenceDataset(train.input_ids, train.attention_mask)
+    _, simulation = run_federated_mlm(
+        lambda: build_mlm_model("bert-tiny", vocab_size=vocab, seed=0,
+                                max_seq_len=24),
+        shards_of(sequences), sequences, MlmCollator(cohort.vocab, seed=5),
+        num_rounds=1, local_epochs=1, threads=False)
+    for prefix, final in (("cls", weights), ("mlm", simulation.final_weights)):
+        for key in sorted(final):
+            digest.update(f"{prefix}.{key}".encode())
+            digest.update(final[key].tobytes())
+    print(digest.hexdigest())
+""")
+
+
+def test_federated_seeds_survive_fresh_interpreters():
+    """Regression: site seeds came from ``hash(name)``, which
+    ``PYTHONHASHSEED`` randomizes per interpreter."""
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    digests = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        completed = subprocess.run([sys.executable, "-c", _FRESH_INTERPRETER_RUN],
+                                   env=env, capture_output=True, text=True,
+                                   timeout=300)
+        assert completed.returncode == 0, completed.stderr
+        digests.append(completed.stdout.strip().splitlines()[-1])
+    assert digests[0] == digests[1]
