@@ -12,12 +12,11 @@ speedup.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
 from repro.autograd import Tensor, available_backends, functional as F, use_backend
+from repro.autograd._blas import usable_cores
 from repro.flare import DXO, DataKind, FLJob, Learner, MetaKey, SimulatorRunner
 from repro.models import build_classifier
 
@@ -69,14 +68,10 @@ def test_federated_round_wallclock(benchmark, tmp_path, transport):
                                transport=transport).run()
 
     result = run_once(benchmark, run)
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        cores = os.cpu_count() or 1
     benchmark.extra_info["transport"] = transport
     benchmark.extra_info["rounds"] = rounds
     benchmark.extra_info["clients"] = 4
-    benchmark.extra_info["cores"] = cores
+    benchmark.extra_info["cores"] = usable_cores()
     assert result.stats.num_rounds == rounds
 
 

@@ -48,6 +48,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from repro.autograd import blas_thread_info, get_backend  # noqa: E402
+from repro.autograd._blas import usable_cores  # noqa: E402
 from repro.autograd.backend import active_backend  # noqa: E402
 from repro.data import (  # noqa: E402
     CohortSpec,
@@ -136,10 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     if base_dir.exists():
         shutil.rmtree(base_dir)
 
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        cores = os.cpu_count() or 1
+    cores = usable_cores()
 
     job = build_job(args.model, args.rounds, args.clients)
     times: dict[str, list[float]] = {"serial": [], "pool": []}

@@ -31,7 +31,7 @@ import sys
 import threading
 
 __all__ = ["set_blas_threads", "get_blas_threads", "blas_thread_info",
-           "recommended_blas_threads"]
+           "recommended_blas_threads", "usable_cores"]
 
 # Symbol spellings across BLAS flavours.  The 64-bit-index OpenBLAS builds
 # scipy/numpy wheels use suffix their exports (``openblas_set_num_threads64_``).
@@ -163,8 +163,13 @@ def recommended_blas_threads(workers: int) -> int:
     each, or threads sharing one — the pools must share the machine:
     ``max(1, cores // workers)``.
     """
+    return max(1, usable_cores() // max(1, workers))
+
+
+def usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the platform
+    reports one, else the machine's core count."""
     try:
-        cores = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except (AttributeError, OSError):
-        cores = os.cpu_count() or 1
-    return max(1, cores // max(1, workers))
+        return os.cpu_count() or 1

@@ -208,10 +208,9 @@ class BlasBackend(NumpyBackend):
         env = os.environ.get("REPRO_BLAS_THREADS", "")
         if env.strip():
             return max(1, int(env))
-        try:
-            return len(os.sched_getaffinity(0))
-        except (AttributeError, OSError):
-            return os.cpu_count() or 1
+        from ._blas import usable_cores
+
+        return usable_cores()
 
     def activate(self) -> None:
         from ._blas import set_blas_threads

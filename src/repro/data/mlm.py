@@ -46,6 +46,17 @@ class MlmCollator:
         self._rng = np.random.default_rng(seed)
         self._special = np.asarray(vocab.special_ids, dtype=np.int64)
 
+    def with_seed(self, seed: int) -> "MlmCollator":
+        """These masking settings with a masking RNG of their own.
+
+        The RNG advances on every call, so a collator shared by concurrent
+        callers hands out masks in scheduling order; give each one its own.
+        """
+        return MlmCollator(self.vocab, mask_prob=self.mask_prob,
+                           replace_mask_frac=self.replace_mask_frac,
+                           replace_random_frac=self.replace_random_frac,
+                           seed=seed)
+
     def __call__(self, input_ids: np.ndarray, attention_mask: np.ndarray) -> MlmExample:
         """Mask a batch; original arrays are not modified."""
         input_ids = np.asarray(input_ids, dtype=np.int64)

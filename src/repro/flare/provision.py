@@ -3,18 +3,23 @@
 The paper's pipeline (Fig. 1) starts with *NVFlare provision*: defining the
 project (one server, N client sites, admin), generating the root CA,
 participant key pairs and certificates, and distributing a startup kit to
-every participant.  This module reproduces that flow in-process.
+every participant.  This module reproduces that flow in-process; the
+participants' key pairs are generated across a fork pool, one process per
+usable core (see ``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
+import threading
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ..autograd._blas import usable_cores
 from .constants import FLRole
 from .security import Certificate, CertificateAuthority, RSAKeyPair, generate_keypair
 
@@ -103,9 +108,12 @@ class Provisioner:
 
     def provision(self) -> dict[str, StartupKit]:
         """Issue keys and certificates for every participant."""
+        participants = self.project.participants
+        keypairs = _generate_keypairs(
+            self.key_bits, [self.seed + 1000 + index
+                            for index in range(len(participants))])
         kits: dict[str, StartupKit] = {}
-        for index, participant in enumerate(self.project.participants):
-            keypair = generate_keypair(bits=self.key_bits, seed=self.seed + 1000 + index)
+        for participant, keypair in zip(participants, keypairs):
             certificate = self.ca.issue(participant.name, participant.org,
                                         participant.role, keypair.public)
             kits[participant.name] = StartupKit(
@@ -121,6 +129,25 @@ class Provisioner:
             kit_dir.mkdir(parents=True, exist_ok=True)
             (kit_dir / "fed_info.json").write_text(json.dumps(kit.summary(), indent=2))
         return directory
+
+
+def _generate_keypairs(bits: int, seeds: list[int]) -> list[RSAKeyPair]:
+    """One key pair per seed, in order.
+
+    A key pair is a function of its seed alone, so contiguous chunks of the
+    seeds run on a fork pool of ``min(usable cores, len(seeds))`` processes
+    and the result is the same for any pool size.  Inline when a pool
+    cannot help (one usable core, or no ``fork`` start method) or cannot be
+    forked safely: ``fork`` copies only the calling thread, so a lock that
+    another Python thread holds would stay held in every child.
+    """
+    workers = min(usable_cores(), len(seeds))
+    if (workers < 2 or threading.active_count() > 1
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return [generate_keypair(bits, seed) for seed in seeds]
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        return pool.starmap(generate_keypair, [(bits, seed) for seed in seeds],
+                            chunksize=-(-len(seeds) // workers))
 
 
 def make_join_token(rng: np.random.Generator) -> str:

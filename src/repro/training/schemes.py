@@ -174,18 +174,25 @@ def run_federated_mlm(model_factory: ModelFactory,
                       job_name: str = "mlm-fl", threads: bool = True,
                       transport: str | None = None
                       ) -> tuple[list[float], SimulationResult]:
-    """Federated MLM pretraining; returns per-round global MLM loss."""
+    """Federated MLM pretraining; returns per-round global MLM loss.
+
+    ``collator`` supplies the masking settings.  Each site masks with its
+    own RNG, seeded like its learner, and every evaluation masks ``valid``
+    afresh from ``seed``, so the masks never depend on thread scheduling.
+    """
     eval_model = model_factory()
 
     def evaluator(weights: dict[str, np.ndarray]) -> dict[str, float]:
         eval_model.load_state_dict({k: np.asarray(v) for k, v in weights.items()},
                                    strict=False)
-        return {"mlm_loss": evaluate_mlm(eval_model, valid, collator, batch_size)}
+        return {"mlm_loss": evaluate_mlm(eval_model, valid, collator.with_seed(seed),
+                                         batch_size)}
 
     def learner_factory(client_name: str) -> MlmPretrainLearner:
         return MlmPretrainLearner(
             site_name=client_name, model_factory=model_factory,
-            train_data=shards[client_name], collator=collator,
+            train_data=shards[client_name],
+            collator=collator.with_seed(_site_seed(seed, client_name)),
             local_epochs=local_epochs, batch_size=batch_size, lr=lr,
             seed=_site_seed(seed, client_name))
 

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -75,6 +78,70 @@ class TestProvisioner:
                            key_bits=512).provision()
         summary = kits["server"].summary()
         assert summary["role"] == "server" and summary["public_key_bits"] >= 511
+
+
+def kit_contents(kits) -> dict:
+    return {name: (kit.keypair, kit.certificate) for name, kit in kits.items()}
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch) -> list:
+    """Records the size of every fork pool the provisioner opens."""
+    sizes: list = []
+    context = type(multiprocessing.get_context("fork"))
+    original = context.Pool
+
+    def spy(self, processes=None, *args, **kwargs):
+        sizes.append(processes)
+        return original(self, processes, *args, **kwargs)
+
+    monkeypatch.setattr(context, "Pool", spy)
+    return sizes
+
+
+class TestParallelProvisioning:
+    """Key pairs depend only on their seeds: the same kits for any pool."""
+
+    def provision(self, monkeypatch, cores: int) -> dict:
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cores)))
+        return kit_contents(Provisioner(default_project(n_clients=3), seed=6,
+                                        key_bits=512).provision())
+
+    def test_same_kits_inline_and_pooled(self, monkeypatch, pool_sizes):
+        # other tests may leave daemon threads behind; pretend they are gone
+        monkeypatch.setattr(threading, "active_count", lambda: 1)
+        inline = self.provision(monkeypatch, cores=1)
+        assert pool_sizes == []
+        pooled = self.provision(monkeypatch, cores=4)
+        assert pool_sizes == [4]  # 5 participants, 4 usable cores
+        assert pooled == inline
+        assert self.provision(monkeypatch, cores=16) == inline
+        assert pool_sizes == [4, 5]  # never more processes than key pairs
+
+    def test_inline_while_another_thread_runs(self, monkeypatch, pool_sizes):
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            kits = self.provision(monkeypatch, cores=4)
+        finally:
+            release.set()
+            other.join(timeout=5.0)
+        assert not other.is_alive()
+        assert pool_sizes == []
+        monkeypatch.setattr(threading, "active_count", lambda: 1)
+        assert kits == self.provision(monkeypatch, cores=4)
+        assert pool_sizes == [4]
+
+    def test_inline_without_fork(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(threading, "active_count", lambda: 1)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        kits = self.provision(monkeypatch, cores=4)
+        assert pool_sizes == []
+        monkeypatch.undo()
+        assert kits == self.provision(monkeypatch, cores=1)
 
 
 class TestJoinToken:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.flare import (
@@ -12,9 +14,17 @@ from repro.flare import (
     sign,
     verify,
 )
-from repro.flare.security import _is_probable_prime, _random_prime
+from repro.flare.security import (
+    _is_probable_prime,
+    _odd_primes_below,
+    _random_prime,
+)
 
 import numpy as np
+
+
+def is_prime_by_trial_division(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 class TestPrimes:
@@ -32,6 +42,19 @@ class TestPrimes:
         rng = np.random.default_rng(1)
         p = _random_prime(128, rng)
         assert p.bit_length() == 128 and p % 2 == 1
+
+    def test_sieve_primes(self):
+        assert _odd_primes_below(1 << 13) == [
+            n for n in range(3, 1 << 13, 2) if is_prime_by_trial_division(n)]
+
+    @pytest.mark.parametrize("bits", [8, 12, 13, 14, 16, 24, 32])
+    def test_random_prime_is_prime_with_exact_size(self, bits):
+        # up to 13 bits every prime is itself a sieve prime, so the sieve
+        # must let a candidate through when it is one of its own primes
+        for seed in range(20):
+            p = _random_prime(bits, np.random.default_rng(seed))
+            assert p.bit_length() == bits
+            assert is_prime_by_trial_division(p)
 
 
 class TestRSA:
@@ -52,7 +75,10 @@ class TestRSA:
         assert not verify(b"m", sig, kp2.public)
 
     def test_keypair_deterministic_by_seed(self):
-        assert generate_keypair(bits=512, seed=5).n == generate_keypair(bits=512, seed=5).n
+        for seed in (0, 5, 1001):
+            assert generate_keypair(bits=512, seed=seed) == \
+                generate_keypair(bits=512, seed=seed)
+        assert generate_keypair(bits=512, seed=5) != generate_keypair(bits=512, seed=6)
 
     def test_modulus_size(self):
         kp = generate_keypair(bits=512, seed=6)

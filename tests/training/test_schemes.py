@@ -93,6 +93,8 @@ class TestMlmSchemes:
 # Runs a tiny FL job of each objective and prints a digest of both final
 # checkpoints.  The sequential drive keeps thread scheduling out of it, so
 # the per-site learner seeds are the only thing the interpreter could vary.
+# The MLM job runs again on threaded clients and must land on the same
+# checkpoint: each site masks with its own collator.
 _FRESH_INTERPRETER_RUN = textwrap.dedent("""
     import hashlib, logging, tempfile
     from repro.data import (CohortSpec, EhrTokenizer, MlmCollator,
@@ -120,12 +122,21 @@ _FRESH_INTERPRETER_RUN = textwrap.dedent("""
         threads=False, run_dir=tempfile.mkdtemp())
     weights = result.simulation.final_weights
     sequences = SequenceDataset(train.input_ids, train.attention_mask)
-    _, simulation = run_federated_mlm(
-        lambda: build_mlm_model("bert-tiny", vocab_size=vocab, seed=0,
-                                max_seq_len=24),
-        shards_of(sequences), sequences, MlmCollator(cohort.vocab, seed=5),
-        num_rounds=1, local_epochs=1, threads=False)
-    for prefix, final in (("cls", weights), ("mlm", simulation.final_weights)):
+
+    def run_mlm(threads):
+        _, simulation = run_federated_mlm(
+            lambda: build_mlm_model("bert-tiny", vocab_size=vocab, seed=0,
+                                    max_seq_len=24),
+            shards_of(sequences), sequences, MlmCollator(cohort.vocab, seed=5),
+            num_rounds=2, local_epochs=1, threads=threads)
+        return simulation.final_weights
+
+    mlm = run_mlm(threads=False)
+    threaded = run_mlm(threads=True)
+    for key in sorted(mlm):
+        if not (mlm[key] == threaded[key]).all():
+            raise SystemExit(f"threaded MLM run diverged at {key}")
+    for prefix, final in (("cls", weights), ("mlm", mlm)):
         for key in sorted(final):
             digest.update(f"{prefix}.{key}".encode())
             digest.update(final[key].tobytes())
@@ -135,7 +146,8 @@ _FRESH_INTERPRETER_RUN = textwrap.dedent("""
 
 def test_federated_seeds_survive_fresh_interpreters():
     """Regression: site seeds came from ``hash(name)``, which
-    ``PYTHONHASHSEED`` randomizes per interpreter."""
+    ``PYTHONHASHSEED`` randomizes per interpreter; and the MLM sites shared
+    one collator, so threaded runs masked in scheduling order."""
     src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
     digests = []
     for hash_seed in ("1", "2"):
