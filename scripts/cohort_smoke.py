@@ -2,9 +2,10 @@
 """Massive-cohort smoke: a deterministic 1,000-client async federated run.
 
 Provisions a 1,000-site federation on the in-memory fabric and runs the
-FedBuff-style :class:`AsyncScatterAndGather` controller for a few global
-commits under the sequential (``threads=False``) drive, then gates on the
-three massive-cohort guarantees:
+round engine's buffered policy (FedBuff-style
+:class:`AsyncScatterAndGather`) for a few global commits under the
+sequential (``threads=False``) drive, then gates on the three
+massive-cohort guarantees:
 
 1. **Bounded materialization** — the run's high-water mark of
    simultaneously-decoded client updates (``stats

@@ -15,10 +15,9 @@ from .aggregators import (
     TreeAggregator,
     TrimmedMeanAggregator,
 )
-from .async_controller import AsyncScatterAndGather, staleness_discount
 from .client import FederatedClient, session_key_from_token
 from .constants import DataKind, EventType, FLRole, ReservedKey, ReturnCode, TaskName
-from .controller import ScatterAndGather
+from .controller import AsyncScatterAndGather, ScatterAndGather, staleness_discount
 from .cross_site_eval import CrossSiteModelEval
 from .codec import (
     decode_tensors,

@@ -91,10 +91,10 @@ class AdminAPI(FLComponent):
         admin = self
         original = controller._run_round
 
-        def abortable_run_round(round_number: int, fl_ctx) -> None:
+        def abortable_run_round(round_number: int, fl_ctx) -> int:
             if admin._abort_requested:
                 raise RuntimeError(
                     f"job aborted by admin before round {round_number}")
-            original(round_number, fl_ctx)
+            return original(round_number, fl_ctx)
 
         controller._run_round = abortable_run_round  # type: ignore[method-assign]

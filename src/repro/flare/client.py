@@ -97,6 +97,9 @@ class FederatedClient(FLComponent):
                             round=round_number) as task_span:
             reply = self._process_task_inner(task_name, shareable)
             task_span.set_attr("return_code", reply.return_code)
+        # echo the task's stamp, so the server can tell which of its
+        # dispatches this reply answers (a late one is discarded)
+        reply.set_header(ReservedKey.ROUND_NUMBER, round_number)
         return reply
 
     def _process_task_inner(self, task_name: str, shareable: Shareable) -> Shareable:

@@ -1,9 +1,29 @@
-"""ScatterAndGather: the federated workflow the paper runs.
+"""The round engine: synchronous ScatterAndGather and buffered async FedBuff.
 
 Each round (paper Sec. III-A): broadcast the global model to every client,
 wait for local training results, aggregate the weighted updates, persist the
 new global model, validate it, repeat for E communication rounds.  The log
 lines emitted here are the ones shown in the paper's Fig. 3.
+
+One window loop runs both workflows: dispatch tasks, take the next verified
+reply from ``server.next_result``, fold it into the aggregator, and close the
+window when the policy says so; a window that meets quorum commits a new
+global model.  The two workflows differ only in dispatch and close policy:
+
+- :class:`ScatterAndGather` is the barrier: one dispatch wave per window to
+  the sampled cohort, closed once every tasked site has answered or the
+  deadline passes.  Stragglers are abandoned at the close, so every folded
+  update trained on the current global model (staleness 0).
+- :class:`AsyncScatterAndGather` is buffered, after FedBuff (Nguyen et al.,
+  AISTATS 2022): every turn tops idle sites up to ``concurrency`` tasks in
+  flight, and the window closes at ``buffer_size`` accepted updates.  An
+  update that lands ``s`` commits after its dispatch is folded with weight
+  ``w / (1 + s)**staleness_alpha``.
+
+Every task carries a ``ROUND_NUMBER`` stamp (the window index at the
+barrier, the global version in the buffered loop) that the client echoes on
+its reply.  A reply that does not answer its site's outstanding dispatch is
+discarded, so a late reply can never be folded into a later window.
 """
 
 from __future__ import annotations
@@ -36,7 +56,7 @@ from .shareable import Shareable, from_dxo, to_dxo
 from .shareable_generator import FullModelShareableGenerator
 from .stats import ClientRoundRecord, RoundRecord, RunStats
 
-__all__ = ["ScatterAndGather"]
+__all__ = ["ScatterAndGather", "AsyncScatterAndGather", "staleness_discount"]
 
 Evaluator = Callable[[dict[str, np.ndarray]], dict[str, float]]
 
@@ -44,6 +64,11 @@ Evaluator = Callable[[dict[str, np.ndarray]], dict[str, float]]
 # per-round wire-traffic distribution; the registry's default buckets are
 # seconds-scaled and would lump every round into the overflow bucket.
 _BYTE_BUCKETS: tuple[float, ...] = tuple(float(1024 * 4 ** i) for i in range(16))
+
+
+def staleness_discount(staleness: int, alpha: float) -> float:
+    """FedBuff's polynomial staleness penalty: ``1 / (1 + s)**alpha``."""
+    return 1.0 / (1.0 + max(0, int(staleness))) ** alpha
 
 
 class ScatterAndGather(FLComponent):
@@ -92,6 +117,27 @@ class ScatterAndGather(FLComponent):
         diverging clients from aggregation for a few rounds.
     """
 
+    # Each workflow's own log lines (Fig. 3 parses these), formatted from the
+    # fields named in them; ``None`` means the workflow has no such line.
+    _LINES: dict[str, str | None] = {
+        "open": "Round %(window)d started.",
+        "unreachable": "round %(window)d: %(count)d site(s) unreachable at "
+                       "broadcast: %(names)s",
+        "contribution": "Contribution from %(client)s received.",
+        "commit": "End aggregation.",
+        "done": "Round %(window)d finished.",
+        "under_quorum": "round %(window)d: under quorum (%(accepted)d/"
+                        "%(min_clients)d); keeping previous global model "
+                        "(%(streak)d/%(max_failed)d tolerated failures)",
+        "abort": "round %(window)d: only %(accepted)d usable results "
+                 "(min_clients=%(min_clients)d) after %(streak)d consecutive "
+                 "under-quorum round(s)",
+    }
+    # extra attributes of the "round" span, and the window's key on the
+    # "aggregate" span
+    _ROUND_SPAN_ATTRS: dict[str, str] = {}
+    _AGGREGATE_SPAN_KEY = "round"
+
     def __init__(self, server: FLServer, client_names: list[str],
                  initial_weights: dict[str, np.ndarray],
                  aggregator: Aggregator,
@@ -108,7 +154,7 @@ class ScatterAndGather(FLComponent):
                  sampler: ClientSampler | None = None,
                  compression: CompressionConfig | None = None,
                  health: HealthMonitor | None = None) -> None:
-        super().__init__(name="ScatterAndGather")
+        super().__init__()
         if num_rounds <= 0:
             raise ValueError("num_rounds must be positive")
         if not client_names:
@@ -164,19 +210,30 @@ class ScatterAndGather(FLComponent):
         # stash); the run's high-water mark lands on the stats.
         self.materialization = MaterializationTracker()
         self.aggregator.tracker = self.materialization
+        # Outstanding dispatches: site -> (task stamp, global version it
+        # trains from, dispatch clock).  The version counts commits so far.
+        self._in_flight: dict[str, tuple[int, int, float]] = {}
+        self._version = 0
+        self._wave = 0
+        self._participants: list[str] = []
+        self._discarded_stale = 0
+        # The simulator's sequential drive runs the tasked clients here after
+        # every dispatch wave; threaded and process clients leave it unset.
+        self._drive: Callable[[], None] | None = None
 
     # ------------------------------------------------------------------
     def run(self) -> RunStats:
         """Execute all rounds; returns the collected statistics."""
         fl_ctx = self.server.fl_ctx
         self.fire_event(EventType.START_RUN, fl_ctx)
-        for round_number in range(self.num_rounds):
-            with obs_trace.span("round", round=round_number) as round_span:
-                self._run_round(round_number, fl_ctx)
-                last = self.stats.rounds[-1] if self.stats.rounds else None
-                if last is not None and last.round_number == round_number:
-                    round_span.set_attr("quorum_met", last.quorum_met)
-                    round_span.set_attr("n_clients", len(last.client_records))
+        for window_index in range(self.num_rounds):
+            # One span name for both workflows, so round-oriented consumers
+            # (tail, dashboard, trace export) cover both.
+            with obs_trace.span("round", round=window_index,
+                                **self._ROUND_SPAN_ATTRS) as round_span:
+                accepted = self._run_round(window_index, fl_ctx)
+                self._annotate_round(round_span, self.stats.rounds[-1], accepted)
+        self._drain_in_flight()
         self.fire_event(EventType.END_RUN, fl_ctx)
         self.stats.messages_delivered = self.server.bus.delivered_count
         self.stats.bytes_delivered = self.server.bus.delivered_bytes
@@ -186,153 +243,242 @@ class ScatterAndGather(FLComponent):
         return self.stats
 
     # ------------------------------------------------------------------
-    def _run_round(self, round_number: int, fl_ctx) -> None:
-        round_started = time.perf_counter()
-        self.log_info("Round %d started.", round_number)
-        fl_ctx.set_prop(ReservedKey.CURRENT_ROUND, round_number)
-        fl_ctx.set_prop("current_round", round_number)
+    def _run_round(self, window_index: int, fl_ctx) -> int:
+        """Run one window: dispatch, fold replies as they arrive, close and
+        (quorum permitting) commit.  Returns the number of accepted updates."""
+        window_started = time.perf_counter()
+        self.log_info(self._LINES["open"],
+                      {"window": window_index, "version": self._version})
+        fl_ctx.set_prop(ReservedKey.CURRENT_ROUND, window_index)
+        fl_ctx.set_prop("current_round", window_index)
         self.fire_event(EventType.ROUND_STARTED, fl_ctx)
-
-        if self.clients_per_round is not None and self.clients_per_round < len(self.client_names):
-            participants = self.sampler.sample(self.client_names,
-                                               self.clients_per_round,
-                                               round_number)
-            self.log_info("sampled %d/%d clients for round %d: %s",
-                          len(participants), len(self.client_names), round_number,
-                          format_names(participants))
-        else:
-            participants = list(self.client_names)
-
         bytes_before = self.server.bus.delivered_bytes
-        task, overrides = self._build_round_tasks(participants, round_number, fl_ctx)
-        if self.health is not None:
-            # Reference = exactly what this round broadcasts (post fp16/delta
-            # canonicalization), so client updates are measured against it.
-            self.health.begin_round(round_number, participants,
-                                    reference=self.global_weights)
-        broadcast_started = time.perf_counter()
-        unreachable = self.server.broadcast_task(TaskName.TRAIN, task, participants,
-                                                 overrides=overrides)
-        if unreachable:
-            self.log_warning("round %d: %d site(s) unreachable at broadcast: %s",
-                             round_number, len(unreachable),
-                             format_names(unreachable))
-        self.fire_event(EventType.TASKS_BROADCAST, fl_ctx)
 
-        record = RoundRecord(round_number=round_number)
+        record = RoundRecord(round_number=window_index)
         self.aggregator.reset()
         accepted = 0
         contributors: set[str] = set()
-        expected = len(participants) - len(unreachable)
+        failed: set[str] = set()
+        self._dispatch(window_index, fl_ctx, opening=True)
+        deadline = time.monotonic() + self.result_timeout
         # Streaming aggregation: each reply is decoded, filtered and folded
-        # into the aggregator's running sums the moment it arrives, then its
-        # blob goes out of scope — the server holds O(1) model copies at any
-        # time instead of buffering every client's full state dict.
-        for sender, reply in self.server.iter_results(expected,
-                                                      timeout=self.result_timeout):
-            if reply.return_code != ReturnCode.OK:
-                if reply.return_code == ReturnCode.EXECUTION_EXCEPTION:
-                    # the client decoded (and applied) the task data before
-                    # its training failed, so its model cache is current
-                    self._client_version[sender] = self._broadcast_version
-                self.log_warning("client %s returned %s; skipping its update",
-                                 sender, reply.return_code)
-                continue
-            self._client_version[sender] = self._broadcast_version
-            dxo = to_dxo(reply)
-            del reply
-            self.materialization.acquire()  # decoded update is now live
-            for result_filter in self.result_filters:
-                with obs_trace.span("filter", stage="server_result",
-                                    filter=type(result_filter).__name__,
-                                    client=sender):
-                    dxo = result_filter.process(dxo, fl_ctx)
-            self.log_info("Contribution from %s received.", sender)
-            if self.health is not None:
-                self.health.record_update(
-                    sender, dxo.data, data_kind=dxo.data_kind, meta=dxo.meta,
-                    latency_seconds=time.perf_counter() - broadcast_started)
-            if self.health is not None and self.health.is_quarantined(
-                    sender, round_number):
-                # Responded fine but is serving a quarantine window: its
-                # diagnostics are recorded, its update is not aggregated and
-                # it is not counted toward quorum.
-                contributors.add(sender)
-                self.log_warning("client %s is quarantined; excluding its "
-                                 "update from aggregation", sender)
-            elif self.aggregator.accept(dxo, sender, fl_ctx):
-                accepted += 1
-                contributors.add(sender)
-            record.client_records.append(ClientRoundRecord(
-                client=sender,
-                round_number=round_number,
-                train_loss=float(dxo.get_meta_prop("train_loss", float("nan"))),
-                valid_acc=float(dxo.get_meta_prop("valid_acc", float("nan"))),
-                num_steps=int(dxo.get_meta_prop(MetaKey.NUM_STEPS_CURRENT_ROUND, 0)),
-                seconds=float(dxo.get_meta_prop("train_seconds", 0.0)),
-            ))
-            del dxo
-            self.materialization.release()  # folded (or stash-accounted)
-        record.dropped_clients = sorted(set(participants) - contributors)
-        if record.dropped_clients:
-            obs_metrics.counter("federation.dropped_clients").inc(len(record.dropped_clients))
-            self.log_warning("round %d: dropped site(s): %s", round_number,
-                             format_names(record.dropped_clients))
+        # into the aggregator's running sums the moment it arrives — the
+        # server holds O(1) model copies at any time instead of buffering
+        # every client's full state dict.
+        while self._in_flight and not self._window_full(accepted):
+            result = self.server.next_result(timeout=deadline - time.monotonic())
+            if result is None:
+                break
+            sender, reply = result
+            accepted += self._fold(window_index, sender, reply, record,
+                                   contributors, failed, fl_ctx)
+            del result, reply  # drop the blob before the next wait
+            if not self._window_full(accepted):
+                self._dispatch(window_index, fl_ctx, opening=False)
+        self._close(record, contributors, failed)
 
         obs_metrics.counter("federation.rounds").inc()
         if accepted < self.min_clients:
             obs_metrics.counter("federation.under_quorum_rounds").inc()
             self._under_quorum_streak += 1
             record.quorum_met = False
-            record.seconds = time.perf_counter() - round_started
-            record.bytes_on_wire = self.server.bus.delivered_bytes - bytes_before
-            obs_metrics.histogram("federation.round_seconds").observe(record.seconds)
-            obs_metrics.histogram("federation.round_bytes",
-                                  buckets=_BYTE_BUCKETS).observe(record.bytes_on_wire)
-            self.stats.add_round(record)
-            self._finish_health_round(record)
+            self._close_window(record, window_started, bytes_before)
+            fields = {"window": window_index, "accepted": accepted,
+                      "min_clients": self.min_clients, "version": self._version,
+                      "streak": self._under_quorum_streak,
+                      "max_failed": self.max_failed_rounds}
             if self._under_quorum_streak > self.max_failed_rounds:
-                raise RuntimeError(
-                    f"round {round_number}: only {accepted} usable results "
-                    f"(min_clients={self.min_clients}) after "
-                    f"{self._under_quorum_streak} consecutive under-quorum round(s)")
-            self.log_warning(
-                "round %d: under quorum (%d/%d); keeping previous global model "
-                "(%d/%d tolerated failures)", round_number, accepted,
-                self.min_clients, self._under_quorum_streak, self.max_failed_rounds)
+                raise RuntimeError(self._LINES["abort"] % fields)
+            self.log_warning(self._LINES["under_quorum"], fields)
             self.fire_event(EventType.ROUND_DONE, fl_ctx)
-            return
+            return accepted
         self._under_quorum_streak = 0
 
         self.fire_event(EventType.BEFORE_AGGREGATION, fl_ctx)
-        with obs_trace.span("aggregate", round=round_number):
+        with obs_trace.span("aggregate", **{self._AGGREGATE_SPAN_KEY: window_index}):
             aggregation_started = time.perf_counter()
             aggregated = self.aggregator.aggregate(fl_ctx)
             obs_metrics.histogram("federation.aggregation_seconds").observe(
                 time.perf_counter() - aggregation_started)
-        self.log_info("End aggregation.")
         self.global_weights = self.shareable_generator.dxo_to_learnable(
             aggregated, self.global_weights)
+        self._version += 1
         self.fire_event(EventType.AFTER_AGGREGATION, fl_ctx)
+        self.log_info(self._LINES["commit"], {"window": window_index,
+                                              "version": self._version,
+                                              "accepted": accepted})
 
         if self.evaluator is not None:
             record.global_metrics = dict(self.evaluator(self.global_weights))
         if self.persistor is not None:
             self.persistor.save(self.global_weights, fl_ctx,
                                 metric=record.global_metrics.get("valid_acc"))
-        record.seconds = time.perf_counter() - round_started
+        self._close_window(record, window_started, bytes_before)
+        if self._LINES["done"] is not None:
+            self.log_info(self._LINES["done"], {"window": window_index})
+        self.fire_event(EventType.ROUND_DONE, fl_ctx)
+        return accepted
+
+    # ------------------------------------------------------------------
+    def _fold(self, window_index: int, sender: str, reply: Shareable,
+              record: RoundRecord, contributors: set[str], failed: set[str],
+              fl_ctx) -> int:
+        """Fold one reply into the open window; 1 if the aggregator took it."""
+        sent = self._in_flight.get(sender)
+        if sent is None or reply.current_round != sent[0]:
+            # answers a dispatch this window no longer waits for; the site
+            # keeps its slot until its outstanding task is answered
+            self.log_warning("reply from %s answers task %s, not its outstanding "
+                             "dispatch %s; discarded", sender, reply.current_round,
+                             None if sent is None else sent[0])
+            return 0
+        del self._in_flight[sender]
+        stamp, version, dispatched = sent
+        staleness = self._version - version
+        if reply.return_code != ReturnCode.OK:
+            if reply.return_code == ReturnCode.EXECUTION_EXCEPTION:
+                # the client decoded (and applied) the task data before
+                # its training failed, so its model cache is current
+                self._client_version[sender] = stamp
+            failed.add(sender)
+            self.log_warning("client %s returned %s; skipping its update",
+                             sender, reply.return_code)
+            return 0
+        self._client_version[sender] = stamp
+        dxo = to_dxo(reply)
+        self.materialization.acquire()  # decoded update is now live
+        for result_filter in self.result_filters:
+            with obs_trace.span("filter", stage="server_result",
+                                filter=type(result_filter).__name__,
+                                client=sender):
+                dxo = result_filter.process(dxo, fl_ctx)
+        if self._LINES["contribution"] is not None:
+            self.log_info(self._LINES["contribution"], {"client": sender})
+        steps = int(dxo.get_meta_prop(MetaKey.NUM_STEPS_CURRENT_ROUND, 0))
+        if self.health is not None:
+            self.health.record_update(
+                sender, dxo.data, data_kind=dxo.data_kind, meta=dxo.meta,
+                latency_seconds=time.perf_counter() - dispatched)
+        accepted = 0
+        discount = self._admit(sender, staleness)
+        if discount is None:
+            pass  # too stale to fold; recorded below
+        elif self.health is not None and self.health.is_quarantined(
+                sender, window_index):
+            # Responded fine but is serving a quarantine window: its
+            # diagnostics are recorded, its update is not aggregated and
+            # it is not counted toward quorum.
+            contributors.add(sender)
+            self.log_warning("client %s is quarantined; excluding its "
+                             "update from aggregation", sender)
+        else:
+            weight = float(dxo.get_meta_prop(MetaKey.NUM_STEPS_CURRENT_ROUND, 1.0))
+            dxo.set_meta_prop(MetaKey.NUM_STEPS_CURRENT_ROUND, weight * discount)
+            if self.aggregator.accept(dxo, sender, fl_ctx):
+                accepted = 1
+                contributors.add(sender)
+        record.client_records.append(ClientRoundRecord(
+            client=sender,
+            round_number=window_index,
+            train_loss=float(dxo.get_meta_prop("train_loss", float("nan"))),
+            valid_acc=float(dxo.get_meta_prop("valid_acc", float("nan"))),
+            num_steps=steps,
+            seconds=float(dxo.get_meta_prop("train_seconds", 0.0)),
+            staleness=staleness,
+        ))
+        del dxo
+        self.materialization.release()  # folded, discarded or stash-accounted
+        return accepted
+
+    # ------------------------------------------------------------------
+    # barrier policy (AsyncScatterAndGather overrides these)
+    # ------------------------------------------------------------------
+    def _dispatch(self, window_index: int, fl_ctx, opening: bool) -> None:
+        """One wave per window: task the sampled cohort when it opens."""
+        if not opening:
+            return
+        if self.clients_per_round is not None and self.clients_per_round < len(self.client_names):
+            participants = self.sampler.sample(self.client_names,
+                                               self.clients_per_round,
+                                               window_index)
+            self.log_info("sampled %d/%d clients for round %d: %s",
+                          len(participants), len(self.client_names), window_index,
+                          format_names(participants))
+        else:
+            participants = list(self.client_names)
+        self._participants = participants
+        task, overrides = self._build_round_tasks(participants, window_index, fl_ctx)
+        if self.health is not None:
+            # Reference = exactly what this round broadcasts (post fp16/delta
+            # canonicalization), so client updates are measured against it.
+            self.health.begin_round(window_index, participants,
+                                    reference=self.global_weights)
+        self._send_wave(window_index, participants, task, fl_ctx, overrides)
+
+    def _window_full(self, accepted: int) -> bool:
+        """The barrier never closes on a count: it waits for every tasked site."""
+        return False
+
+    def _admit(self, sender: str, staleness: int) -> float | None:
+        """Fold-weight factor for an update, or ``None`` to discard it.
+
+        Behind the barrier every update trained on the current global model
+        (staleness 0), where the FedBuff discount is exactly 1.
+        """
+        return 1.0
+
+    def _close(self, record: RoundRecord, contributors: set[str],
+               failed: set[str]) -> None:
+        """Abandon stragglers; every tasked site that did not contribute is
+        dropped."""
+        if self._in_flight:
+            answered = len(record.client_records) + len(failed)
+            self.server.log_warning(
+                "collected %d/%d result(s) before the %.1fs deadline",
+                answered, answered + len(self._in_flight), self.result_timeout)
+            self._in_flight.clear()
+        record.dropped_clients = sorted(set(self._participants) - contributors)
+        if record.dropped_clients:
+            obs_metrics.counter("federation.dropped_clients").inc(len(record.dropped_clients))
+            self.log_warning("round %d: dropped site(s): %s", record.round_number,
+                             format_names(record.dropped_clients))
+
+    def _annotate_round(self, span, record: RoundRecord, accepted: int) -> None:
+        span.set_attr("quorum_met", record.quorum_met)
+        span.set_attr("n_clients", len(record.client_records))
+
+    # ------------------------------------------------------------------
+    # shared window plumbing
+    # ------------------------------------------------------------------
+    def _send_wave(self, window_index: int, targets: list[str], task: Shareable,
+                   fl_ctx, overrides: dict[str, Shareable] | None = None) -> None:
+        """Broadcast one dispatch wave and track each reachable target."""
+        dispatched = time.perf_counter()
+        unreachable = set(self.server.broadcast_task(TaskName.TRAIN, task, targets,
+                                                     overrides=overrides))
+        stamp = task.get_header(ReservedKey.ROUND_NUMBER)
+        for target in targets:
+            if target not in unreachable:
+                self._in_flight[target] = (stamp, self._version, dispatched)
+        if unreachable:
+            self.log_warning(self._LINES["unreachable"], {
+                "window": window_index, "wave": self._wave,
+                "count": len(unreachable),
+                "names": format_names([t for t in targets if t in unreachable])})
+        self._wave += 1
+        self.fire_event(EventType.TASKS_BROADCAST, fl_ctx)
+        if self._drive is not None:
+            self._drive()
+
+    def _close_window(self, record: RoundRecord, window_started: float,
+                      bytes_before: int) -> None:
+        """Window bookkeeping: timings, wire bytes, health verdicts."""
+        record.seconds = time.perf_counter() - window_started
         record.bytes_on_wire = self.server.bus.delivered_bytes - bytes_before
         obs_metrics.histogram("federation.round_seconds").observe(record.seconds)
         obs_metrics.histogram("federation.round_bytes",
                               buckets=_BYTE_BUCKETS).observe(record.bytes_on_wire)
         self.stats.add_round(record)
-        self._finish_health_round(record)
-        self.log_info("Round %d finished.", round_number)
-        self.fire_event(EventType.ROUND_DONE, fl_ctx)
-
-    # ------------------------------------------------------------------
-    def _finish_health_round(self, record: RoundRecord) -> None:
-        """Close the health monitor's round and surface its verdicts."""
         if self.health is None:
             return
         round_health, alerts = self.health.end_round(
@@ -346,6 +492,28 @@ class ScatterAndGather(FLComponent):
         record.quarantined_clients = list(round_health.quarantined)
         self.stats.alerts.extend(alerts)
         self.log_info("%s", self.health.status_line(round_health, alerts))
+
+    def _drain_in_flight(self) -> None:
+        """Collect (and discard) replies from sites still holding a task.
+
+        After the final buffered commit up to ``concurrency`` tasks are
+        outstanding; their replies must be consumed so the server inbox does
+        not leak into whatever runs on this bus next.  Under the sequential
+        drive every reply is already queued, so the drain is instant.  The
+        barrier abandons its stragglers at every close and has none.
+        """
+        drained = 0
+        deadline = time.monotonic() + min(self.result_timeout, 5.0)
+        while self._in_flight:
+            result = self.server.next_result(timeout=deadline - time.monotonic())
+            if result is None:
+                break
+            self._in_flight.pop(result[0], None)
+            drained += 1
+        if drained or self._discarded_stale:
+            self.log_info("run done: drained %d in-flight result(s), "
+                          "discarded %d over-stale update(s)",
+                          drained, self._discarded_stale)
 
     # ------------------------------------------------------------------
     # downlink payload construction
@@ -479,3 +647,150 @@ class ScatterAndGather(FLComponent):
                                            self._last_broadcast[key])
             for key in delta if delta[key].dtype.kind == "f"}
         return payload
+
+
+class AsyncScatterAndGather(ScatterAndGather):
+    """Buffered asynchronous federated aggregation (FedBuff-style).
+
+    The barrier makes each round as slow as its slowest site; here the
+    global model carries a **version** (commits so far) and freed sites are
+    re-tasked with the newest one while others are still training.  Under
+    the in-memory fabric with ``SimulatorRunner``'s sequential drive
+    (``threads=False``) every dispatch wave is answered in registration
+    order and sampling is a pure function of ``(seed, wave)``, so a
+    same-seed run is bit-reproducible (`scripts/cohort_smoke.py` asserts it).
+
+    Parameters mirror :class:`ScatterAndGather` where shared; the async-only
+    knobs are:
+
+    buffer_size:
+        Accepted updates per global commit (FedBuff's K).
+    concurrency:
+        Target number of sites holding an outstanding task at any instant
+        (FedBuff's Mc).  Defaults to ``min(2 * buffer_size, n_sites)`` so
+        the buffer refills while stale stragglers are still training.
+    staleness_alpha:
+        Exponent of the staleness discount; 0 disables discounting.
+    max_staleness:
+        Updates whose dispatch version is more than this many commits old
+        are dropped instead of folded (``None`` = accept any staleness).
+    num_rounds:
+        Number of global commits to run (each commit is recorded as one
+        round in the run stats, so downstream tooling needs no changes).
+    """
+
+    _LINES = {
+        "open": "Commit window %(window)d started (global version %(version)d).",
+        "unreachable": "dispatch wave %(wave)d: %(count)d site(s) "
+                       "unreachable: %(names)s",
+        "contribution": None,
+        "commit": "Committed global version %(version)d (%(accepted)d "
+                  "update(s), window %(window)d).",
+        "done": None,
+        "under_quorum": "commit window %(window)d: under quorum (%(accepted)d/"
+                        "%(min_clients)d); keeping global version %(version)d "
+                        "(%(streak)d/%(max_failed)d tolerated failures)",
+        "abort": "commit window %(window)d: only %(accepted)d usable "
+                 "update(s) (min_clients=%(min_clients)d) after %(streak)d "
+                 "consecutive under-quorum window(s)",
+    }
+    _ROUND_SPAN_ATTRS = {"mode": "async"}
+    _AGGREGATE_SPAN_KEY = "commit"
+
+    def __init__(self, server: FLServer, client_names: list[str],
+                 initial_weights: dict[str, np.ndarray],
+                 aggregator: Aggregator,
+                 shareable_generator: FullModelShareableGenerator | None = None,
+                 persistor: ModelPersistor | None = None,
+                 num_rounds: int = 10,
+                 buffer_size: int = 4,
+                 concurrency: int | None = None,
+                 staleness_alpha: float = 0.5,
+                 max_staleness: int | None = None,
+                 evaluator: Evaluator | None = None,
+                 result_filters: list[DXOFilter] | None = None,
+                 min_clients: int | None = None,
+                 result_timeout: float = 600.0,
+                 max_failed_rounds: int = 0,
+                 sampling_seed: int = 0,
+                 sampler: ClientSampler | None = None,
+                 health: HealthMonitor | None = None) -> None:
+        super().__init__(
+            server, client_names, initial_weights, aggregator,
+            shareable_generator=shareable_generator, persistor=persistor,
+            num_rounds=num_rounds, evaluator=evaluator,
+            result_filters=result_filters,
+            min_clients=buffer_size if min_clients is None else min_clients,
+            result_timeout=result_timeout, max_failed_rounds=max_failed_rounds,
+            sampling_seed=sampling_seed, sampler=sampler, health=health)
+        if buffer_size <= 0:
+            raise ValueError("buffer_size must be positive")
+        if staleness_alpha < 0:
+            raise ValueError("staleness_alpha must be non-negative")
+        if max_staleness is not None and max_staleness < 0:
+            raise ValueError("max_staleness must be non-negative")
+        self.buffer_size = buffer_size
+        if concurrency is None:
+            concurrency = min(2 * buffer_size, len(self.client_names))
+        if not 0 < concurrency <= len(self.client_names):
+            raise ValueError("concurrency must be in [1, len(client_names)]")
+        self.concurrency = concurrency
+        self.staleness_alpha = staleness_alpha
+        self.max_staleness = max_staleness
+        if self.min_clients > buffer_size:
+            raise ValueError(
+                f"min_clients={self.min_clients} can never be met: a commit "
+                f"window closes after buffer_size={buffer_size} update(s)")
+
+    # ------------------------------------------------------------------
+    # buffered policy
+    # ------------------------------------------------------------------
+    def _dispatch(self, window_index: int, fl_ctx, opening: bool) -> None:
+        """Top idle sites up to the concurrency target with the current global.
+
+        Site choice goes through the sampler (one "wave" per call, so the
+        draw is a pure function of ``(seed, wave)``); unreachable sites do
+        not count as outstanding.
+        """
+        if opening and self.health is not None:
+            self.health.begin_round(window_index, list(self.client_names),
+                                    reference=self.global_weights)
+        idle = [name for name in self.client_names if name not in self._in_flight]
+        want = min(self.concurrency - len(self._in_flight), len(idle))
+        if want <= 0:
+            return
+        targets = self.sampler.sample(idle, want, self._wave)
+        task = self.shareable_generator.learnable_to_shareable(
+            self.global_weights, fl_ctx)
+        task.set_header(ReservedKey.ROUND_NUMBER, self._version)
+        task.set_header(ReservedKey.TOTAL_ROUNDS, self.num_rounds)
+        self._send_wave(window_index, targets, task, fl_ctx)
+
+    def _window_full(self, accepted: int) -> bool:
+        """A commit window closes at ``buffer_size`` accepted updates."""
+        return accepted >= self.buffer_size
+
+    def _admit(self, sender: str, staleness: int) -> float | None:
+        """Discount by staleness; discard past ``max_staleness``."""
+        obs_metrics.histogram("federation.async_staleness").observe(staleness)
+        if self.max_staleness is not None and staleness > self.max_staleness:
+            self._discarded_stale += 1
+            self.log_warning(
+                "update from %s is %d commit(s) stale (max %d); discarded",
+                sender, staleness, self.max_staleness)
+            return None
+        return staleness_discount(staleness, self.staleness_alpha)
+
+    def _close(self, record: RoundRecord, contributors: set[str],
+               failed: set[str]) -> None:
+        """Sites still training keep their slots; only failures are dropped."""
+        record.dropped_clients = sorted(failed)
+
+    def _annotate_round(self, span, record: RoundRecord, accepted: int) -> None:
+        span.set_attr("version", self._version)
+        span.set_attr("accepted", accepted)
+        span.set_attr("buffer_size", self.buffer_size)
+        super()._annotate_round(span, record, accepted)
+        if record.client_records:
+            span.set_attr("staleness_max",
+                          max(client.staleness for client in record.client_records))

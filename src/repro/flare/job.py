@@ -65,9 +65,10 @@ class FLJob:
         or ``None`` to let ``SimulatorRunner`` decide (its own
         ``transport=`` argument overrides this).
     mode:
-        ``"sync"`` runs the round-barrier :class:`ScatterAndGather`
-        workflow; ``"async"`` runs the FedBuff-style buffered
-        :class:`AsyncScatterAndGather`, where ``num_rounds`` counts global
+        Which policy the one round engine runs.  ``"sync"`` is the barrier
+        (:class:`ScatterAndGather`): one wave per round, closed when every
+        tasked site has answered.  ``"async"`` is the FedBuff-style buffer
+        (:class:`AsyncScatterAndGather`): ``num_rounds`` counts global
         commits and the ``buffer_size`` / ``concurrency`` /
         ``staleness_alpha`` / ``max_staleness`` knobs below apply.
         Async mode is incompatible with ``compression``.

@@ -2,9 +2,12 @@
 
 Reproduces NVFlare's simulator (the mode the paper's demonstration uses):
 provision the project, create the simulated clients, register them against
-the server with the token handshake, serve each client on its own thread,
-run the ScatterAndGather workflow, and return the final/best models with the
-collected statistics and the captured log transcript (Fig. 3).
+the server with the token handshake, serve each client on its own thread
+(or, with ``threads=False``, drive them one at a time after every dispatch
+wave), run the job's workflow on the round engine — the sync barrier
+(:class:`ScatterAndGather`) or the buffered async loop
+(:class:`AsyncScatterAndGather`) — and return the final/best models with
+the collected statistics and the captured log transcript (Fig. 3).
 """
 
 from __future__ import annotations
@@ -21,14 +24,12 @@ from ..autograd._blas import recommended_blas_threads, set_blas_threads
 from ..obs.health import HealthMonitor
 from ..obs.session import TelemetrySession, _sysmon_interval
 from . import codec as wire_codec_module
-from .async_controller import AsyncScatterAndGather
 from .client import FederatedClient
-from .controller import ScatterAndGather
+from .controller import AsyncScatterAndGather, ScatterAndGather
 from .dxo import set_wire_codec
 from .events import LogCapture, get_fl_logger
 from .faults import FaultPlan, FaultyMessageBus
 from .filters import CompressionConfig
-from .fl_context import FLContext
 from .job import FLJob
 from .persistor import ModelPersistor
 from .provision import Provisioner, default_project
@@ -303,54 +304,48 @@ class SimulatorRunner:
             if self.compression is not None:
                 raise ValueError("async mode is incompatible with wire "
                                  "compression")
-            controller: ScatterAndGather | AsyncScatterAndGather = \
-                AsyncScatterAndGather(
-                    server=server,
-                    client_names=client_names,
-                    initial_weights=self.job.initial_weights,
-                    aggregator=self.job.aggregator_factory(),
-                    persistor=persistor,
-                    num_rounds=self.job.num_rounds,
-                    buffer_size=self.job.buffer_size,
-                    concurrency=self.job.concurrency,
-                    staleness_alpha=self.job.staleness_alpha,
-                    max_staleness=self.job.max_staleness,
-                    evaluator=self.job.evaluator,
-                    result_filters=self.job.server_result_filters,
-                    min_clients=self.job.min_clients,
-                    result_timeout=self.job.result_timeout,
-                    max_failed_rounds=self.job.max_failed_rounds,
-                    sampling_seed=self.job.sampling_seed,
-                    sampler=sampler,
-                    health=monitor,
-                )
+            workflow: type[ScatterAndGather] = AsyncScatterAndGather
+            options = dict(buffer_size=self.job.buffer_size,
+                           concurrency=self.job.concurrency,
+                           staleness_alpha=self.job.staleness_alpha,
+                           max_staleness=self.job.max_staleness)
         else:
-            controller = ScatterAndGather(
-                server=server,
-                client_names=client_names,
-                initial_weights=self.job.initial_weights,
-                aggregator=self.job.aggregator_factory(),
-                persistor=persistor,
-                num_rounds=self.job.num_rounds,
-                evaluator=self.job.evaluator,
-                result_filters=self.job.server_result_filters,
-                min_clients=self.job.min_clients,
-                clients_per_round=self.job.clients_per_round,
-                result_timeout=self.job.result_timeout,
-                max_failed_rounds=self.job.max_failed_rounds,
-                sampling_seed=self.job.sampling_seed,
-                sampler=sampler,
-                compression=self.compression,
-                health=monitor,
-            )
+            workflow = ScatterAndGather
+            options = dict(clients_per_round=self.job.clients_per_round,
+                           compression=self.compression)
+        controller = workflow(
+            server=server,
+            client_names=client_names,
+            initial_weights=self.job.initial_weights,
+            aggregator=self.job.aggregator_factory(),
+            persistor=persistor,
+            num_rounds=self.job.num_rounds,
+            evaluator=self.job.evaluator,
+            result_filters=self.job.server_result_filters,
+            min_clients=self.job.min_clients,
+            result_timeout=self.job.result_timeout,
+            max_failed_rounds=self.job.max_failed_rounds,
+            sampling_seed=self.job.sampling_seed,
+            sampler=sampler,
+            health=monitor,
+            **options,
+        )
+        if not self.threads:
+            # Sequential drive: the controller's collect step blocks, so after
+            # every dispatch wave each tasked client polls exactly once, in
+            # registration order (the basis of the bit-reproducibility gate).
+            def poll_tasked_clients() -> None:
+                for client in clients:
+                    # only clients this wave tasked have a message
+                    if client.bus.pending(client.name):
+                        client.poll_once(timeout=5.0)
+
+            controller._drive = poll_tasked_clients
         wire_before = wire_codec_module.wire_totals()
         worker_snapshots: dict[str, dict] = {}
 
         try:
-            if self.threads:
-                stats = controller.run()
-            else:
-                stats = self._run_sequential(controller, clients)
+            stats = controller.run()
         finally:
             if runner is not None:
                 # Stop fan-out may be partially undeliverable on a faulty
@@ -430,38 +425,3 @@ class SimulatorRunner:
             run_dir=self.run_dir,
             log_text=capture.text() if capture is not None else "",
         )
-
-    # ------------------------------------------------------------------
-    def _run_sequential(self, controller: "ScatterAndGather | AsyncScatterAndGather",
-                        clients: list[FederatedClient]) -> RunStats:
-        """Deterministic single-thread mode: interleave controller and clients.
-
-        The controller's collect step blocks, so in sequential mode each
-        dispatch is driven manually: broadcast happens inside the
-        controller, after which every tasked client polls exactly once per
-        TASKS_BROADCAST event (the async controller fires one per dispatch
-        wave, so in-flight sites answer deterministically in registration
-        order — the basis of the bit-reproducibility gate).
-        """
-        # Sequential execution re-uses the threaded controller by running the
-        # clients' poll loops from a round-boundary event hook.
-        from .constants import EventType
-
-        class _PollClients:
-            def handle_event(self, event_type: str, fl_ctx: FLContext) -> None:
-                if event_type == EventType.TASKS_BROADCAST:
-                    for client in clients:
-                        # only clients actually tasked this round (the
-                        # controller may sample a subset) have a message
-                        if client.bus.pending(client.name):
-                            client.poll_once(timeout=5.0)
-
-        hook = _PollClients()
-        original_fire = controller.fire_event
-
-        def fire_and_poll(event_type: str, fl_ctx, targets=None) -> None:
-            original_fire(event_type, fl_ctx, targets)
-            hook.handle_event(event_type, fl_ctx)
-
-        controller.fire_event = fire_and_poll  # type: ignore[method-assign]
-        return controller.run()

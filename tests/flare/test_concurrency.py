@@ -102,3 +102,31 @@ class TestNoThreadLeaks:
             SimulatorRunner(job, n_clients=2, seed=0, run_dir=tmp_path,
                             capture_log=False).run()
         assert self._live_threads() <= before
+
+
+class SlowFirstRound(ToyLearner):
+    """site-2 answers round 0 only after the server's deadline has passed."""
+
+    def train(self, dxo: DXO, fl_ctx) -> DXO:
+        if self.site_name == "site-2" and int(fl_ctx.get_prop("current_round", 0)) == 0:
+            time.sleep(1.5)
+        return super().train(dxo, fl_ctx)
+
+
+def test_late_reply_is_not_folded_into_a_later_round(tmp_path):
+    # site-2's round-0 reply lands during round 1; it must be discarded,
+    # not folded into round 1 (which would leave every later round one
+    # reply behind).  ToyLearner stamps train_loss = 1 / (1 + round).
+    job = FLJob(name="late-reply", initial_weights=toy_weights(),
+                learner_factory=SlowFirstRound, num_rounds=4, min_clients=1,
+                result_timeout=1.0)
+    stats = SimulatorRunner(job, n_clients=2, seed=0, run_dir=tmp_path,
+                            capture_log=False).run().stats
+    for record in stats.rounds:
+        trained_in = {c.client: round(1.0 / c.train_loss) - 1
+                      for c in record.client_records}
+        assert len(trained_in) == len(record.client_records)  # no site twice
+        assert set(trained_in.values()) <= {record.round_number}, record
+        assert "site-1" in trained_in
+    assert stats.rounds[0].dropped_clients == ["site-2"]
+    assert all(not record.dropped_clients for record in stats.rounds[1:])
