@@ -15,12 +15,10 @@ and then:
    architecture's ceiling;
 3. registers the report plus both run dirs in the run registry and diffs
    pool against serial on the *deterministic* dimensions only
-   (``round_bytes``, ``alerts``) — exit 2 if the fabrics diverge.  (The
-   pool's live registry counts parent-sent traffic only — children's
-   counters are fork-private until the telemetry merge — so its
-   ``round_bytes`` reads *lower* than serial by a fixed accounting factor;
-   the gate still catches the regression direction: duplicated traffic or
-   resend storms push it up.)
+   (``round_bytes``, ``alerts``) — exit 2 if the fabrics diverge.  Both
+   fabrics count ``round_bytes`` the same way — bytes crossing the server
+   endpoint, both directions — so for the same job the two read the same;
+   duplicated traffic or resend storms on the pool push it up.
 
 The measurement protocol is documented in "Measuring parallel rounds" in
 ``docs/PERFORMANCE.md``.  CI runs this as the ``bench-smoke`` job.

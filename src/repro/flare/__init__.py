@@ -22,7 +22,7 @@ from .cross_site_eval import CrossSiteModelEval
 from .codec import (
     decode_tensors,
     encode_tensors,
-    reset_wire_metrics,
+    wire_bytes,
     wire_totals,
 )
 from .dxo import DXO, MetaKey, get_wire_codec, set_wire_codec
@@ -97,7 +97,7 @@ __all__ = [
     "AdminAPI", "ClientInfo", "JobStatus",
     "FLContext", "FLComponent", "LogCapture", "get_fl_logger", "set_console_level",
     "DXO", "MetaKey", "Shareable", "from_dxo", "to_dxo", "make_reply",
-    "encode_tensors", "decode_tensors", "wire_totals", "reset_wire_metrics",
+    "encode_tensors", "decode_tensors", "wire_bytes", "wire_totals",
     "get_wire_codec", "set_wire_codec",
     "RSAKeyPair", "generate_keypair", "sign", "verify",
     "Certificate", "CertificateAuthority", "hmac_sign", "hmac_verify",

@@ -72,13 +72,14 @@ class AdminAPI(FLComponent):
         if self.controller is None:
             raise RuntimeError("no controller attached")
         completed = self.controller.stats.num_rounds
+        delivered = self.server.delivered()
         return JobStatus(
             current_round=completed,
             total_rounds=self.controller.num_rounds,
             finished=completed >= self.controller.num_rounds,
             aborted=self._abort_requested,
-            messages_delivered=self.server.bus.delivered_count,
-            bytes_delivered=self.server.bus.delivered_bytes,
+            messages_delivered=delivered["messages_delivered"],
+            bytes_delivered=delivered["bytes_delivered"],
         )
 
     def abort_job(self) -> None:

@@ -32,10 +32,10 @@ wrong (truncated blob, bad magic, manifest overrun, tensor out of bounds,
 unsupported dtype) — corrupted bytes off a faulty transport must never
 surface as cryptic ``struct``/``json``/``zlib`` tracebacks.
 
-Byte accounting (``transport.bytes_raw`` vs ``transport.bytes_encoded``) and
-encode/decode timings land in an always-on module registry mirrored into the
-process-wide :mod:`repro.obs` registry, so a telemetry session sees them
-without extra wiring.
+Every encode/decode is counted once, in the process that runs it: byte
+counters (``transport.bytes_raw`` vs ``transport.bytes_encoded``) and timings
+in the process-wide :mod:`repro.obs` registry, and the bytes also in two plain
+totals (:func:`wire_bytes`) that ``RunStats`` reads with telemetry off.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from __future__ import annotations
 import io
 import json
 import struct
+import threading
 import time
 import zipfile
 import zlib
@@ -53,48 +54,45 @@ import numpy as np
 
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from ..obs.metrics import MetricsRegistry
 
 __all__ = [
     "MAGIC", "ALIGNMENT", "encode_tensors", "encode_tensors_into",
     "encoded_size", "decode_tensors",
     "encode_tensors_npz", "decode_tensors_npz",
-    "wire_metrics", "wire_totals", "reset_wire_metrics",
+    "wire_bytes", "wire_totals",
 ]
 
 MAGIC = b"RTC1"
 ALIGNMENT = 64
 
-# Always-on registry for wire accounting: RunStats and the wire benchmark
-# need byte totals whether or not a telemetry session is active (the same
-# pattern as MessageBus.metrics).  Totals are cumulative per process; callers
-# wanting per-run numbers snapshot with :func:`wire_totals` before and after.
-wire_metrics = MetricsRegistry()
+# This process's cumulative (raw, encoded) codec bytes, encode and decode
+# alike: RunStats needs them whether or not a telemetry session is active.
+# Per-run numbers are the difference of two :func:`wire_bytes` readings.
+_wire_lock = threading.Lock()
+_wire_bytes = [0, 0]
 
 
-def reset_wire_metrics() -> MetricsRegistry:
-    """Swap in a fresh wire registry (tests/benchmarks); returns the old one."""
-    global wire_metrics
-    old = wire_metrics
-    wire_metrics = MetricsRegistry()
-    return old
+def wire_bytes() -> tuple[int, int]:
+    """This process's cumulative ``(raw, encoded)`` codec bytes."""
+    with _wire_lock:
+        return _wire_bytes[0], _wire_bytes[1]
 
 
 def wire_totals() -> dict[str, float]:
-    """Snapshot of the cumulative byte counters, keyed by counter name+codec."""
-    totals: dict[str, float] = {}
-    for entry in wire_metrics.to_dict().get("counters", []):
-        tags = entry.get("tags", {})
-        key = entry["name"] + (f"{{codec={tags['codec']}}}" if "codec" in tags else "")
-        totals[key] = totals.get(key, 0.0) + entry["value"]
-    return totals
+    """The process registry's codec byte counters, keyed by name+codec."""
+    return {f"{entry['name']}{{codec={entry['tags']['codec']}}}": entry["value"]
+            for entry in obs_metrics.get_registry().to_dict()["counters"]
+            if entry["name"] in ("transport.bytes_raw", "transport.bytes_encoded")}
 
 
 def _account(direction: str, codec: str, raw: int, encoded: int, seconds: float) -> None:
-    for registry in (wire_metrics, obs_metrics.get_registry()):
-        registry.counter("transport.bytes_raw", codec=codec).inc(raw)
-        registry.counter("transport.bytes_encoded", codec=codec).inc(encoded)
-        registry.histogram(f"codec.{direction}_seconds", codec=codec).observe(seconds)
+    with _wire_lock:
+        _wire_bytes[0] += raw
+        _wire_bytes[1] += encoded
+    registry = obs_metrics.get_registry()
+    registry.counter("transport.bytes_raw", codec=codec).inc(raw)
+    registry.counter("transport.bytes_encoded", codec=codec).inc(encoded)
+    registry.histogram(f"codec.{direction}_seconds", codec=codec).observe(seconds)
     tracer = obs_trace.get_tracer()
     if tracer is not None:
         # retro-record the already-timed region so the codec pass shows up

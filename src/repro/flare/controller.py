@@ -235,10 +235,7 @@ class ScatterAndGather(FLComponent):
                 self._annotate_round(round_span, self.stats.rounds[-1], accepted)
         self._drain_in_flight()
         self.fire_event(EventType.END_RUN, fl_ctx)
-        self.stats.messages_delivered = self.server.bus.delivered_count
-        self.stats.bytes_delivered = self.server.bus.delivered_bytes
-        self.stats.retries = self.server.bus.retry_count
-        self.stats.duplicates_dropped = self.server.bus.duplicates_dropped
+        self._record_delivery()
         self.stats.peak_materialized_updates = self.materialization.peak
         return self.stats
 
@@ -252,7 +249,7 @@ class ScatterAndGather(FLComponent):
         fl_ctx.set_prop(ReservedKey.CURRENT_ROUND, window_index)
         fl_ctx.set_prop("current_round", window_index)
         self.fire_event(EventType.ROUND_STARTED, fl_ctx)
-        bytes_before = self.server.bus.delivered_bytes
+        bytes_before = self.server.delivered()["bytes_delivered"]
 
         record = RoundRecord(round_number=window_index)
         self.aggregator.reset()
@@ -474,7 +471,8 @@ class ScatterAndGather(FLComponent):
                       bytes_before: int) -> None:
         """Window bookkeeping: timings, wire bytes, health verdicts."""
         record.seconds = time.perf_counter() - window_started
-        record.bytes_on_wire = self.server.bus.delivered_bytes - bytes_before
+        record.bytes_on_wire = self.server.delivered()["bytes_delivered"] - bytes_before
+        self._record_delivery()
         obs_metrics.histogram("federation.round_seconds").observe(record.seconds)
         obs_metrics.histogram("federation.round_bytes",
                               buckets=_BYTE_BUCKETS).observe(record.bytes_on_wire)
@@ -492,6 +490,16 @@ class ScatterAndGather(FLComponent):
         record.quarantined_clients = list(round_health.quarantined)
         self.stats.alerts.extend(alerts)
         self.log_info("%s", self.health.status_line(round_health, alerts))
+
+    def _record_delivery(self) -> None:
+        """Copy the server endpoint's delivery totals onto the stats, and
+        their growth since the last copy onto the registry's counters."""
+        delivered = self.server.delivered()
+        for field in ("messages_delivered", "bytes_delivered", "retries",
+                      "duplicates_dropped"):
+            obs_metrics.counter(f"transport.{field}").inc(
+                delivered[field] - getattr(self.stats, field))
+            setattr(self.stats, field, delivered[field])
 
     def _drain_in_flight(self) -> None:
         """Collect (and discard) replies from sites still holding a task.

@@ -31,16 +31,16 @@ Fault semantics (mirroring what a real channel does):
 from __future__ import annotations
 
 import hashlib
+import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
-from ..obs.metrics import MetricsRegistry
+from ..obs import metrics as obs_metrics
 from .constants import ReservedKey
 from .transport import Message, MessageBus, TransportError
 
 __all__ = ["FaultPlan", "FaultInjector", "FaultyMessageBus"]
-
-_FAULT_KINDS = ("drop", "crash", "duplicate", "corrupt", "delay")
 
 
 @dataclass
@@ -94,17 +94,22 @@ class FaultInjector:
 
     Transport-agnostic: :class:`FaultyMessageBus` runs it in front of the
     in-memory enqueue, ``SocketMessageBus`` in front of the frame write.
-    Injections are tagged counters in the owning bus's registry, so a
-    telemetry session exports them alongside delivery totals.
+    Injections are counted per kind by the injector itself (:meth:`count`,
+    telemetry on or off) and as ``transport.faults`` in the process registry.
     """
 
-    def __init__(self, plan: FaultPlan, registry: MetricsRegistry) -> None:
+    def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        self._counters = {kind: registry.counter("transport.faults", kind=kind)
-                          for kind in _FAULT_KINDS}
+        self._lock = threading.Lock()
+        self._counts: Counter = Counter()
 
     def count(self, kind: str) -> int:
-        return int(self._counters[kind].value)
+        return self._counts[kind]
+
+    def _inject(self, kind: str) -> None:
+        with self._lock:
+            self._counts[kind] += 1
+        obs_metrics.counter("transport.faults", kind=kind).inc()
 
     def apply(self, message: Message) -> list[Message]:
         """Fault one dispatch; returns the envelope(s) to actually deliver.
@@ -122,13 +127,13 @@ class FaultInjector:
 
         for endpoint in (message.sender, message.recipient):
             if endpoint in plan.crashed_clients:
-                self._counters["crash"].inc()
+                self._inject("crash")
                 raise TransportError(
                     f"injected crash: site {endpoint!r} is down "
                     f"(message {message.topic!r} lost)")
 
         if plan.drop_prob and plan.unit("drop", decision_key) < plan.drop_prob:
-            self._counters["drop"].inc()
+            self._inject("drop")
             raise TransportError(
                 f"injected drop of {message.topic!r} from {message.sender!r} "
                 f"to {message.recipient!r}")
@@ -137,11 +142,11 @@ class FaultInjector:
         if plan.delay_prob and plan.unit("delay", decision_key) < plan.delay_prob:
             delay += plan.max_delay * plan.unit("delay-amount", decision_key)
         if delay > 0:
-            self._counters["delay"].inc()
+            self._inject("delay")
             time.sleep(delay)
 
         if plan.corrupt_prob and plan.unit("corrupt", decision_key) < plan.corrupt_prob:
-            self._counters["corrupt"].inc()
+            self._inject("corrupt")
             if message.body:
                 flip_at = len(message.body) // 2
                 message.body = (message.body[:flip_at]
@@ -151,7 +156,7 @@ class FaultInjector:
                 message.signature = "0" * len(message.signature)
 
         if plan.duplicate_prob and plan.unit("duplicate", decision_key) < plan.duplicate_prob:
-            self._counters["duplicate"].inc()
+            self._inject("duplicate")
             return [message, message]
         return [message]
 
@@ -168,7 +173,7 @@ class FaultyMessageBus(MessageBus):
     def __init__(self, plan: FaultPlan) -> None:
         super().__init__()
         self.plan = plan
-        self._injector = FaultInjector(plan, self.metrics)
+        self._injector = FaultInjector(plan)
 
     @property
     def injected_drops(self) -> int:

@@ -145,11 +145,11 @@ class _WorkerTelemetryExporter:
     Every ``interval`` seconds (or promptly after a span closes — the
     tracer's flush hook kicks the loop) the exporter ships one delta:
     spans finished since the previous delta plus *cumulative* snapshots of
-    the metric registries (the parent keeps only the latest cumulative
-    snapshot per worker, so a lost delta costs spans, never double-counts
-    a counter).  The final delta (``final=True``) is sent on the way out;
-    a crashed worker simply stops mid-stream and the parent marks its
-    still-open spans aborted.
+    the worker's one metrics registry and op profile (the parent keeps only
+    the latest cumulative snapshot per worker, so a lost delta costs spans,
+    never double-counts a counter).  The final delta (``final=True``) is
+    sent on the way out; a crashed worker simply stops mid-stream and the
+    parent marks its still-open spans aborted.
     """
 
     def __init__(self, bus: Transport, name: str, server_name: str,
@@ -193,16 +193,12 @@ class _WorkerTelemetryExporter:
             self._stop.wait(0.05)
 
     def snapshot(self, final: bool) -> dict:
-        from . import codec as wire_codec_module
-
         delta = {
             "client": self.name,
             "seq": self._seq,
             "final": final,
             "metrics": self.registry.to_dict(),
             "profile": self.profiler.to_dict(),
-            "transport": self.bus.metrics.to_dict(),
-            "wire": wire_codec_module.wire_metrics.to_dict(),
         }
         if self.tracer is not None:
             delta["process"] = self.tracer.process
@@ -351,9 +347,10 @@ class TelemetryCollector:
     through :attr:`FLServer.telemetry_sink` or during the final drain —
     and maintains:
 
-    - the **latest cumulative** metric/profile/transport/wire snapshot per
-      worker (idempotent under lost or reordered deltas, since each delta
-      carries full totals);
+    - the **latest cumulative** metrics/profile snapshot per worker
+      (idempotent under lost or reordered deltas, since each delta carries
+      full totals), folded into the parent session once, by
+      :meth:`fold_into`;
     - the merged span stream: span deltas are appended to the parent
       session's live ``trace.jsonl`` as they arrive;
     - crash forensics: the open spans reported by each worker's most
@@ -387,7 +384,7 @@ class TelemetryCollector:
             self._seen_seq[client] = seq if isinstance(seq, int) else 0
             self._latest[client] = {
                 key: delta[key]
-                for key in ("client", "metrics", "profile", "transport", "wire")
+                for key in ("client", "metrics", "profile")
                 if key in delta}
             self._open[client] = list(delta.get("open_spans") or [])
             if delta.get("final"):
@@ -417,6 +414,24 @@ class TelemetryCollector:
         with self._lock:
             return {client: dict(snapshot)
                     for client, snapshot in self._latest.items()}
+
+    def worker_metrics(self) -> list[dict]:
+        """Each worker's latest metrics snapshot (a live exporter source)."""
+        with self._lock:
+            return [snapshot["metrics"] for snapshot in self._latest.values()
+                    if "metrics" in snapshot]
+
+    def fold_into(self, session) -> None:
+        """Merge each worker's latest snapshot into ``session``, once: they
+        are consumed under the lock :meth:`worker_metrics` takes, so a
+        concurrent scrape never counts a worker twice."""
+        with self._lock:
+            for _, snapshot in sorted(self._latest.items()):
+                if session.registry is not None and "metrics" in snapshot:
+                    session.registry.merge_dict(snapshot["metrics"])
+                if session.profiler is not None and "profile" in snapshot:
+                    session.profiler.merge_dict(snapshot["profile"])
+            self._latest.clear()
 
     def finalize(self) -> list[dict]:
         """Mark never-closed spans of non-final workers as aborted.

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import time
+from collections import Counter
 
 import numpy as np
 
+from ..obs import metrics as obs_metrics
 from .constants import TELEMETRY_TOPIC, EventType, ReservedKey
 from .events import FLComponent, format_names
 from .fl_context import FLContext
@@ -137,8 +139,8 @@ class FLServer(FLComponent):
                                             msg_id=msg_id, attempt=attempt)
                 except TransportError as error:
                     entry[3] = error
-                    self.bus.metrics.counter("transport.send_failures",
-                                             topic=task_name).inc()
+                    obs_metrics.counter("transport.send_failures",
+                                        topic=task_name).inc()
                     failed.append(entry)
             wave = failed
         unreachable = [entry[0] for entry in wave]
@@ -201,6 +203,10 @@ class FLServer(FLComponent):
                 break
             results.append(result)
         return results
+
+    def delivered(self) -> Counter:
+        """This endpoint's delivery totals, both directions, on any fabric."""
+        return self.bus.totals(self.name)
 
     def stop_clients(self, targets: list[str]) -> None:
         """Best-effort shutdown fan-out; unreachable sites are only logged."""

@@ -32,7 +32,7 @@ Fault injection arms at the sender's dispatch (the same seam as the other
 fabrics), so chaos plans make identical per-message decisions on shm.
 
 One caveat inherited from ``fork``: each process owns a private copy of the
-python-level bus state (session keys, dedup windows, metrics) from the
+python-level bus state (session keys, dedup windows, delivery totals) from the
 moment of the fork, exactly as if it were a separate node — only the queues
 and the segment directory are shared.  Children must install their own
 session keys after forking, mirroring the socket spoke.
@@ -50,6 +50,7 @@ import tempfile
 import time
 from typing import TYPE_CHECKING
 
+from ..obs import metrics as obs_metrics
 from .codec import ALIGNMENT
 from .faults import FaultInjector
 from .transport import BaseTransport, Message, TransportError
@@ -85,7 +86,7 @@ class ShmMessageBus(BaseTransport):
                  segment_root: str | None = None,
                  start_method: str = "fork") -> None:
         super().__init__()
-        self._injector = (FaultInjector(fault_plan, self.metrics)
+        self._injector = (FaultInjector(fault_plan)
                           if fault_plan is not None else None)
         self.fault_plan = fault_plan
         self.inline_limit = inline_limit
@@ -98,9 +99,8 @@ class ShmMessageBus(BaseTransport):
         self._owner_pid = os.getpid()
         self._seq = itertools.count()
         self._closed = False
-        self._segments_written = self.metrics.counter("transport.shm_segments")
-        self._segment_bytes = self.metrics.counter("transport.shm_segment_bytes")
-        self._inline_bodies = self.metrics.counter("transport.shm_inline")
+        for name in ("transport.shm_segments", "transport.shm_segment_bytes"):
+            obs_metrics.counter(name)  # exported even if every body is inline
 
     @property
     def segment_dir(self) -> str:
@@ -135,7 +135,7 @@ class ShmMessageBus(BaseTransport):
             raise TransportError(f"unknown recipient {message.recipient!r}")
         body = message.body
         if len(body) <= self.inline_limit:
-            self._inline_bodies.inc()
+            obs_metrics.counter("transport.shm_inline").inc()
             record = (message.sender, message.recipient, message.topic,
                       message.signature, message.headers, bytes(body), None)
         else:
@@ -143,7 +143,6 @@ class ShmMessageBus(BaseTransport):
                       message.signature, message.headers, None,
                       self._write_segment(body))
         q.put(record)
-        self._count_delivery(message)
 
     def _next_message(self, name: str, remaining: float | None) -> Message | None:
         with self._lock:
@@ -195,8 +194,9 @@ class ShmMessageBus(BaseTransport):
                 pass
             raise
         os.close(fd)
-        self._segments_written.inc()
-        self._segment_bytes.inc(total)
+        registry = obs_metrics.get_registry()
+        registry.counter("transport.shm_segments").inc()
+        registry.counter("transport.shm_segment_bytes").inc(total)
         return name, pad, len(body)
 
     def _read_segment(self, name: str, pad: int, length: int) -> memoryview:

@@ -23,8 +23,8 @@ import numpy as np
 from ..autograd._blas import recommended_blas_threads, set_blas_threads
 from ..obs.health import HealthMonitor
 from ..obs.session import TelemetrySession, _sysmon_interval
-from . import codec as wire_codec_module
 from .client import FederatedClient
+from .codec import wire_bytes
 from .controller import AsyncScatterAndGather, ScatterAndGather
 from .dxo import set_wire_codec
 from .events import LogCapture, get_fl_logger
@@ -225,17 +225,12 @@ class SimulatorRunner:
         server = FLServer(kits["server"], bus, seed=self.seed)
         server.log_info("Create the simulate clients.")
         exporter = session.exporter if session is not None else None
-        if exporter is not None:
-            # A scrape sees the transport/codec registries live, not just
-            # after the end-of-run merge into the session registry.
-            exporter.add_source(bus.metrics.to_dict)
-            exporter.add_source(wire_codec_module.wire_metrics.to_dict)
 
         clients: list[FederatedClient] = []
         runner: ProcessClientRunner | None = None
         client_names = [spec.name for spec in project.clients]
+        collector: TelemetryCollector | None = None
         if self.transport in ("socket", "shm"):
-            collector: TelemetryCollector | None = None
             trace_id = None
             if self.telemetry:
                 # One collector joins the workers' streamed deltas to the
@@ -246,17 +241,10 @@ class SimulatorRunner:
                 if session is not None and session.tracer is not None:
                     trace_id = session.tracer.trace_id
                 if exporter is not None:
-                    # Mid-run scrapes show every worker's latest streamed
-                    # snapshot: sys.rss_bytes{process=site-N}, training
-                    # counters, transport/wire registries.
-                    def _worker_metrics(collector=collector):
-                        return [part
-                                for snapshot in collector.snapshots().values()
-                                for key in ("metrics", "transport", "wire")
-                                for part in [snapshot.get(key)]
-                                if isinstance(part, dict)]
-
-                    exporter.add_source(_worker_metrics)
+                    # Mid-run scrapes add every worker's latest streamed
+                    # registry: sys.rss_bytes{process=site-N}, training,
+                    # codec and transport counters.
+                    exporter.add_source(collector.worker_metrics)
             runner = ProcessClientRunner(
                 self.job.learner_factory, kits, server,
                 compression=self.compression,
@@ -341,8 +329,7 @@ class SimulatorRunner:
                         client.poll_once(timeout=5.0)
 
             controller._drive = poll_tasked_clients
-        wire_before = wire_codec_module.wire_totals()
-        worker_snapshots: dict[str, dict] = {}
+        raw_before, encoded_before = wire_bytes()
 
         try:
             stats = controller.run()
@@ -354,7 +341,7 @@ class SimulatorRunner:
                 if self.telemetry:
                     # each worker ships its metrics/profile on the way out;
                     # collect before join() so nothing is lost to teardown
-                    worker_snapshots = runner.drain_telemetry()
+                    runner.drain_telemetry()
                 runner.join()
                 bus.close()
             elif self.threads:
@@ -374,35 +361,17 @@ class SimulatorRunner:
                     raise stop_error
 
         final_weights = controller.global_weights
-        # Per-run wire accounting: the codec registry is cumulative per
-        # process, so the run's share is the before/after delta.
-        wire_after = wire_codec_module.wire_totals()
-
-        def _wire_delta(prefix: str) -> int:
-            return int(
-                sum(v for k, v in wire_after.items() if k.startswith(prefix))
-                - sum(v for k, v in wire_before.items() if k.startswith(prefix)))
-
-        stats.wire_bytes_raw = _wire_delta("transport.bytes_raw")
-        stats.wire_bytes_encoded = _wire_delta("transport.bytes_encoded")
+        # This process's codec bytes over the run (cumulative per process,
+        # so the run's share is the before/after delta).
+        raw_after, encoded_after = wire_bytes()
+        stats.wire_bytes_raw = raw_after - raw_before
+        stats.wire_bytes_encoded = encoded_after - encoded_before
         if session is not None:
-            # Fold the bus's always-on registry (delivery totals, per-topic
-            # latency, injected faults) into the run's metrics.json and point
-            # the stats at the artifacts the session will write on stop().
-            if session.registry is not None:
-                session.registry.merge(bus.metrics)
-                session.registry.merge(wire_codec_module.wire_metrics)
-            # Per-worker snapshots (process-per-client runs): fold each
-            # child's registries and op profile in, so metrics.json /
-            # profile.json cover the training work done in every process.
-            for name, snapshot in sorted(worker_snapshots.items()):
-                if session.registry is not None:
-                    for key in ("metrics", "transport", "wire"):
-                        if isinstance(snapshot.get(key), dict):
-                            session.registry.merge_dict(snapshot[key])
-                if session.profiler is not None \
-                        and isinstance(snapshot.get("profile"), dict):
-                    session.profiler.merge_dict(snapshot["profile"])
+            if collector is not None:
+                # process-per-client runs: each worker's registry and op
+                # profile join the parent's, so metrics.json / profile.json
+                # cover the work done in every process
+                collector.fold_into(session)
             if session.sysmon is not None:
                 session.sysmon.sample()  # capture the end-of-run high water
                 stats.peak_rss_bytes = int(session.sysmon.peak_rss_bytes)

@@ -45,6 +45,7 @@ import threading
 import time
 from typing import TYPE_CHECKING
 
+from ..obs import metrics as obs_metrics
 from .events import get_fl_logger
 from .faults import FaultInjector
 from .transport import (
@@ -249,7 +250,7 @@ class SocketMessageBus(BaseTransport):
             raise ValueError("a node either listens (hub) or connects (spoke)")
         self._log = logging.LoggerAdapter(get_fl_logger(),
                                           {"component": type(self).__name__})
-        self._injector = (FaultInjector(fault_plan, self.metrics)
+        self._injector = (FaultInjector(fault_plan)
                           if fault_plan is not None else None)
         self.fault_plan = fault_plan
         self.retry_policy = retry_policy or RetryPolicy()
@@ -264,12 +265,6 @@ class SocketMessageBus(BaseTransport):
         self._uplink_lock = threading.Lock()
         self._connect_addr = connect_to
         self._last_pong: float | None = None
-        self._routing_drops = self.metrics.counter("transport.routing_drops")
-        self._reconnects = self.metrics.counter("transport.reconnects")
-        self._frame_errors = self.metrics.counter("transport.frame_errors")
-        self._heartbeats = {kind: self.metrics.counter("transport.heartbeats",
-                                                       kind=kind)
-                            for kind in ("ping", "pong")}
         if listen:
             self._listener = socket.create_server((host, port), backlog=64)
             self._spawn(self._accept_loop, name="bus-accept")
@@ -296,10 +291,6 @@ class SocketMessageBus(BaseTransport):
     def last_pong(self) -> float | None:
         """``time.monotonic()`` of the most recent heartbeat reply."""
         return self._last_pong
-
-    def heartbeat_counts(self) -> dict[str, int]:
-        return {kind: int(counter.value)
-                for kind, counter in self._heartbeats.items()}
 
     def _spawn(self, target, name: str) -> None:
         thread = threading.Thread(target=target, name=name, daemon=True)
@@ -356,14 +347,12 @@ class SocketMessageBus(BaseTransport):
         if link is not None:
             link_frame = encode_data_frame(message)
             self._send_link(link, link_frame, recipient)
-            self._count_delivery(message)
         elif local:
             self._deliver_local(message)
         elif self._connect_addr is not None:
             # Spoke: everything non-local goes through the hub, which owns
             # the routing table; deliverability is the hub's judgement.
             self._send_uplink(encode_data_frame(message))
-            self._count_delivery(message)
         else:
             raise TransportError(f"unknown recipient {recipient!r}")
 
@@ -371,12 +360,11 @@ class SocketMessageBus(BaseTransport):
         with self._lock:
             q = self._queues.get(message.recipient)
         if q is None:
-            self._routing_drops.inc()
+            obs_metrics.counter("transport.routing_drops").inc()
             self._log.warning("dropping %r for unknown local endpoint %r",
                               message.topic, message.recipient)
             return
         q.put(message)
-        self._count_delivery(message)
 
     def _send_link(self, link: _Link, frame: bytes, recipient: str) -> None:
         try:
@@ -422,7 +410,7 @@ class SocketMessageBus(BaseTransport):
             try:
                 link.send_bytes(encode_data_frame(message))
             except TransportError:
-                self._routing_drops.inc()
+                obs_metrics.counter("transport.routing_drops").inc()
 
     def _reader_loop(self, link: _Link) -> None:
         """Drain one connection; a bad frame costs the connection, not the node."""
@@ -436,7 +424,7 @@ class SocketMessageBus(BaseTransport):
             return
         except TransportError as error:
             if not self._closed.is_set():
-                self._frame_errors.inc()
+                obs_metrics.counter("transport.frame_errors").inc()
                 self._log.warning("connection dropped: %s", error)
         finally:
             self._forget_link(link)
@@ -451,11 +439,11 @@ class SocketMessageBus(BaseTransport):
                 raise TransportError(f"malformed HELLO: {error}") from error
             self._claim_endpoints(link, [str(name) for name in names])
         elif frame_type == FRAME_PING:
-            self._heartbeats["pong"].inc()
+            # the pong is counted once, where it lands
             link.send_bytes(encode_frame(FRAME_PONG))
         elif frame_type == FRAME_PONG:
             self._last_pong = time.monotonic()
-            self._heartbeats["pong"].inc()
+            obs_metrics.counter("transport.heartbeats", kind="pong").inc()
         elif frame_type == FRAME_BYE:
             raise _PeerClosed
         else:  # FRAME_DATA
@@ -465,10 +453,9 @@ class SocketMessageBus(BaseTransport):
             if forward is not None and forward is not link:
                 try:
                     forward.send_bytes(encode_frame(FRAME_DATA, rest))
-                    self._count_delivery(message)
                 except TransportError:
                     self._forget_link(forward)
-                    self._routing_drops.inc()
+                    obs_metrics.counter("transport.routing_drops").inc()
             else:
                 self._deliver_local(message)
 
@@ -500,7 +487,7 @@ class SocketMessageBus(BaseTransport):
                     self._spawn(lambda l=link: self._reader_loop(l),
                                 name="bus-uplink-reader")
                     if reconnecting:
-                        self._reconnects.inc()
+                        obs_metrics.counter("transport.reconnects").inc()
                     return link
                 except (OSError, TransportError) as error:
                     last_error = error
@@ -525,7 +512,7 @@ class SocketMessageBus(BaseTransport):
         while not self._closed.wait(self.heartbeat_interval):
             try:
                 self._send_uplink(encode_frame(FRAME_PING))
-                self._heartbeats["ping"].inc()
+                obs_metrics.counter("transport.heartbeats", kind="ping").inc()
             except TransportError:
                 continue  # the next data send (or beat) retries the uplink
 

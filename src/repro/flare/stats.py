@@ -41,7 +41,8 @@ class RoundRecord:
     client_records: list[ClientRoundRecord] = field(default_factory=list)
     global_metrics: dict[str, float] = field(default_factory=dict)
     seconds: float = 0.0
-    # Encoded bytes this round put on the bus (broadcasts + results).
+    # Envelope bytes crossing the server endpoint this round, both ways
+    # (tasks sent + results received), counted alike on every fabric.
     bytes_on_wire: int = 0
     # Sites that were tasked but contributed no usable update (crashed,
     # unreachable, timed out or returned a non-OK code).
@@ -58,16 +59,18 @@ class RunStats:
     """Everything measured during a run."""
 
     rounds: list[RoundRecord] = field(default_factory=list)
+    # The server endpoint's delivery totals over the run, on every fabric:
+    # messages and envelope bytes it sent or received (worker telemetry
+    # excluded), its resend attempts, and receives it skipped by message-id
+    # dedup.
     messages_delivered: int = 0
     bytes_delivered: int = 0
-    # Resend attempts made by all participants (server broadcasts + client
-    # result submissions) over the whole run.
     retries: int = 0
-    # Receives skipped by message-id dedup (resends and replayed duplicates).
     duplicates_dropped: int = 0
-    # Wire-codec accounting for the run: tensor payload bytes before
-    # encoding vs bytes actually produced for the wire (all codecs, both
-    # directions).  With compression on, encoded < raw.
+    # The driver process's codec accounting for the run: tensor payload
+    # bytes before encoding vs bytes produced for the wire (all codecs,
+    # encode and decode; process workers' codec work is not included).
+    # With compression on, encoded < raw.
     wire_bytes_raw: int = 0
     wire_bytes_encoded: int = 0
     # High-water mark of simultaneously-materialized decoded client updates

@@ -19,6 +19,10 @@ injection, compression filters, telemetry, the health monitor — is written
 against :class:`Transport` and behaves identically on both fabrics (pinned
 by ``tests/flare/test_transport_conformance.py``).
 
+Delivery totals are plain per-endpoint integers (a send counts at its
+sender, an arrival at its receiver); everything else the seam measures goes
+to the metrics registry of the process where it happens.
+
 Reliability layer: every send carries an idempotency header
 (``ReservedKey.MSG_ID``, stable across resends) plus an attempt counter, the
 receive path deduplicates replayed/duplicated message ids after signature
@@ -32,13 +36,13 @@ import json
 import queue
 import threading
 import time
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from ..obs.metrics import MetricsRegistry
-from .constants import ReservedKey
+from .constants import TELEMETRY_TOPIC, ReservedKey
 from .security import hmac_sign_parts, hmac_verify_parts
 from .shareable import Shareable
 
@@ -156,7 +160,7 @@ def send_with_retry(bus: "Transport", sender: str, recipient: str, topic: str,
             return attempt + 1
         except TransportError as error:
             last_error = error
-            bus.metrics.counter("transport.send_failures", topic=topic).inc()
+            obs_metrics.counter("transport.send_failures", topic=topic).inc()
             if attempt + 1 < policy.max_attempts:
                 time.sleep(policy.delay_for(attempt))
     raise TransportError(
@@ -208,8 +212,6 @@ class Transport:
     - resends carrying the same ``msg_id`` are delivered at most once.
     """
 
-    metrics: MetricsRegistry
-
     def register_endpoint(self, name: str) -> None:
         """Declare ``name`` as an endpoint hosted by (or known to) this node."""
         raise NotImplementedError
@@ -241,7 +243,7 @@ class Transport:
 
 
 class BaseTransport(Transport):
-    """Shared envelope layer: keys, signing, msg-id sequencing, dedup, metrics.
+    """Shared envelope layer: keys, signing, msg-id sequencing, dedup, totals.
 
     Subclasses provide the delivery fabric by implementing
     :meth:`_dispatch` (route one signed envelope toward its recipient) and
@@ -256,36 +258,39 @@ class BaseTransport(Transport):
         self._seen_ids: dict[str, OrderedDict] = {}
         self._endpoints: set[str] = set()
         self._peers: set[str] = set()
-        # Every node owns an always-enabled registry: delivery totals must be
-        # available (RunStats copies them) whether or not a telemetry
-        # session is active.  A session merges this registry into the run's
-        # metrics.json at export time.
-        self.metrics = MetricsRegistry()
-        self._messages_delivered = self.metrics.counter("transport.messages_delivered")
-        self._bytes_delivered = self.metrics.counter("transport.bytes_delivered")
-        self._retries = self.metrics.counter("transport.retries")
-        self._duplicates_dropped = self.metrics.counter("transport.duplicates_dropped")
+        self._totals: dict[str, Counter] = {}
 
-    # ------------------------------------------------------------------
-    # registry-backed totals (the former one-off int attributes)
-    # ------------------------------------------------------------------
+    def totals(self, name: str | None = None) -> Counter:
+        """Delivery totals of local endpoint ``name``, both directions (or
+        of every local endpoint); worker telemetry is never counted."""
+        with self._lock:
+            if name is not None:
+                return Counter(self._totals.get(name, ()))
+            return sum(self._totals.values(), Counter())
+
+    def _tally(self, endpoint: str, topic: str, **counts: int) -> None:
+        if topic == TELEMETRY_TOPIC:
+            return  # observer traffic, not part of the federation's delivery
+        with self._lock:
+            self._totals.setdefault(endpoint, Counter()).update(counts)
+
     @property
     def delivered_count(self) -> int:
-        return int(self._messages_delivered.value)
+        return self.totals()["messages_delivered"]
 
     @property
     def delivered_bytes(self) -> int:
-        return int(self._bytes_delivered.value)
+        return self.totals()["bytes_delivered"]
 
     @property
     def retry_count(self) -> int:
         """Sends carrying attempt > 0."""
-        return int(self._retries.value)
+        return self.totals()["retries"]
 
     @property
     def duplicates_dropped(self) -> int:
         """Receives skipped by message-id dedup."""
-        return int(self._duplicates_dropped.value)
+        return self.totals()["duplicates_dropped"]
 
     # ------------------------------------------------------------------
     def register_endpoint(self, name: str) -> None:
@@ -357,19 +362,16 @@ class BaseTransport(Transport):
                           headers=headers)
         message.signature = hmac_sign_parts(message.signed_parts(), key)
         if attempt > 0:
-            self._retries.inc()
+            self._tally(sender, topic, retries=1)
         self._dispatch(message)
+        self._tally(sender, topic, messages_delivered=1, bytes_delivered=len(body))
+        registry = obs_metrics.get_registry()
+        registry.counter("transport.messages", topic=topic).inc()
+        registry.counter("transport.bytes", topic=topic).inc(len(body))
 
     def _dispatch(self, message: Message) -> None:
         """Route one signed envelope toward its recipient."""
         raise NotImplementedError
-
-    def _count_delivery(self, message: Message) -> None:
-        """Account one envelope handled by this node (send or local arrival)."""
-        self._messages_delivered.inc()
-        self._bytes_delivered.inc(len(message.body))
-        self.metrics.counter("transport.messages", topic=message.topic).inc()
-        self.metrics.counter("transport.bytes", topic=message.topic).inc(len(message.body))
 
     # ------------------------------------------------------------------
     def receive(self, name: str, timeout: float | None = 10.0, *,
@@ -400,12 +402,14 @@ class BaseTransport(Transport):
                     f"from {message.sender!r}")
             msg_id = message.headers.get(ReservedKey.MSG_ID)
             if msg_id is not None and not self._mark_seen(name, msg_id):
-                self._duplicates_dropped.inc()
+                self._tally(name, message.topic, duplicates_dropped=1)
                 continue
+            self._tally(name, message.topic, messages_delivered=1,
+                        bytes_delivered=len(message.body))
             send_ts = message.headers.get(ReservedKey.SEND_TS)
             if isinstance(send_ts, (int, float)):
-                self.metrics.histogram("transport.latency_seconds",
-                                       topic=message.topic).observe(
+                obs_metrics.histogram("transport.latency_seconds",
+                                      topic=message.topic).observe(
                     max(time.monotonic() - send_ts, 0.0))
             shareable = _decode_shareable(message.body)
             ctx = message.headers.get(ReservedKey.TRACE_CTX)
@@ -466,7 +470,6 @@ class MessageBus(BaseTransport):
             if message.recipient not in self._queues:
                 raise TransportError(f"unknown recipient {message.recipient!r}")
             self._queues[message.recipient].put(message)
-        self._count_delivery(message)
 
     def _next_message(self, name: str, remaining: float | None) -> Message | None:
         with self._lock:

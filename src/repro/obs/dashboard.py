@@ -31,6 +31,7 @@ from collections import deque
 from pathlib import Path
 
 from .exporter import parse_prometheus_text
+from .report import _fmt_bytes
 from .session import TRACE_FILE
 from .tail import iter_trace_records
 
@@ -51,14 +52,6 @@ def sparkline(values, width: int = 24) -> str:
     span = (hi - lo) or 1.0
     return "".join(BLOCKS[int((v - lo) / span * (len(BLOCKS) - 1))]
                    for v in values)
-
-
-def _fmt_bytes(value: float) -> str:
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if abs(value) < 1024.0 or unit == "GiB":
-            return f"{value:.1f}{unit}" if unit != "B" else f"{int(value)}B"
-        value /= 1024.0
-    return f"{value:.1f}GiB"
 
 
 def _fmt_ago(seconds: float) -> str:

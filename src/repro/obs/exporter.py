@@ -4,8 +4,9 @@ Zero new dependencies: :class:`MetricsExporter` runs a stdlib
 ``http.server`` in a daemon thread, bound to loopback only, serving
 
 - ``/metrics`` — the live :class:`~repro.obs.metrics.MetricsRegistry`
-  (plus any extra snapshot sources: the bus's private registry, the wire
-  codec's, each worker's latest streamed snapshot) rendered in the
+  plus any extra snapshot sources (each worker process's latest streamed
+  registry), folded into one snapshot — counters and histograms sum
+  across processes, as in ``metrics.json`` — and rendered in the
   Prometheus text exposition format, tags mapped to labels;
 - ``/healthz`` — a JSON view of the
   :class:`~repro.obs.health.HealthMonitor`'s current state: alert feed,
@@ -28,6 +29,8 @@ import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
+
+from .metrics import MetricsRegistry
 
 __all__ = ["MetricsExporter", "render_prometheus", "parse_prometheus_text",
            "sanitize_metric_name", "escape_label_value"]
@@ -233,7 +236,11 @@ class MetricsExporter:
         return flat
 
     def render(self) -> str:
-        return render_prometheus(self.snapshots())
+        """One scrape: every source folded into a single snapshot."""
+        folded = MetricsRegistry()
+        for snapshot in self.snapshots():
+            folded.merge_dict(snapshot)
+        return render_prometheus([folded.to_dict()])
 
     def healthz(self) -> dict:
         """JSON health view: alerts, severity counts, quarantine set."""

@@ -252,9 +252,10 @@ class MetricsRegistry:
     A registry is either *enabled* (real instruments) or *disabled* (every
     accessor returns the shared null instrument).  The process-wide default
     registry starts disabled; a telemetry session installs an enabled one
-    for the duration of a run.  Components that must always count — the
-    message bus keeps its delivery totals regardless of telemetry — own a
-    private always-enabled registry instead.
+    for the duration of a run.  Every instrumented component writes to the
+    process-wide registry of the process where the event happens, looked up
+    at the event; numbers needed with telemetry off (delivery totals, codec
+    bytes) are plain integers owned by their producer, never a registry.
     """
 
     def __init__(self, enabled: bool = True) -> None:
@@ -305,9 +306,8 @@ class MetricsRegistry:
         """Fold another registry's totals into this one.
 
         Counters add, gauges take the other's value, histograms add bucket
-        by bucket (exact — both sides share the fixed bucket layout).  Used
-        to fold a message bus's private registry into a run's telemetry
-        registry before export.
+        by bucket (exact — both sides share the fixed bucket layout), and
+        small-sample reservoirs survive while both fit.
         """
         if not self.enabled or not other.enabled:
             return
@@ -341,7 +341,7 @@ class MetricsRegistry:
         The cross-process counterpart of :meth:`merge`: a forked client
         worker cannot hand its parent a live registry, so it ships the JSON
         snapshot over the bus (the ``__telemetry__`` message) and the parent
-        reconstructs.  Counters add, gauges take the snapshot's value,
+        reconstructs; the live exporter folds its sources the same way.  Counters add, gauges take the snapshot's value,
         histograms add bucket by bucket — count/sum/min/max survive exactly;
         only the small-sample reservoir is lost, so merged percentiles fall
         back to bucket interpolation.

@@ -18,12 +18,22 @@ from repro.data import (
     train_valid_split,
 )
 from repro.flare import set_console_level
+from repro.obs.metrics import MetricsRegistry, set_registry
 
 
 @pytest.fixture(autouse=True, scope="session")
 def _quiet_flare_logs():
     set_console_level(logging.ERROR)
     yield
+
+
+@pytest.fixture()
+def process_registry() -> MetricsRegistry:
+    """An enabled process-wide metrics registry for one test."""
+    registry = MetricsRegistry()
+    previous = set_registry(registry)
+    yield registry
+    set_registry(previous)
 
 
 @pytest.fixture()

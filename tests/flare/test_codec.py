@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.flare import codec
 from repro.flare.codec import (
     ALIGNMENT,
     MAGIC,
@@ -19,7 +18,6 @@ from repro.flare.codec import (
     decode_tensors_npz,
     encode_tensors,
     encode_tensors_npz,
-    reset_wire_metrics,
     wire_totals,
 )
 
@@ -34,10 +32,8 @@ SAMPLE = {
 
 
 @pytest.fixture(autouse=True)
-def _fresh_wire_registry():
-    old = reset_wire_metrics()
-    yield
-    codec.wire_metrics = old
+def _fresh_wire_registry(process_registry):
+    """Codec byte counters land in a fresh process registry per test."""
 
 
 # ---------------------------------------------------------------------------

@@ -75,13 +75,13 @@ class TestShmFabric:
             assert view.ctypes.data % 64 == 0
             np.testing.assert_array_equal(view, arrays["w"])
 
-    def test_small_body_rides_inline(self):
+    def test_small_body_rides_inline(self, process_registry):
         with self._bus() as bus:
-            before = int(bus.metrics.counter("transport.shm_segments").value)
+            before = int(process_registry.counter("transport.shm_segments").value)
             bus.send_shareable("server", "site-1", "ping", Shareable({"a": 1}))
             _, _, received = bus.receive("site-1", timeout=5.0)
             assert received["a"] == 1
-            assert int(bus.metrics.counter("transport.shm_segments").value) == before
+            assert int(process_registry.counter("transport.shm_segments").value) == before
 
     def test_segments_are_unlinked_after_receive(self):
         with self._bus(inline_limit=0) as bus:

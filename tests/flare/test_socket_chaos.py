@@ -165,12 +165,12 @@ class TestFrameCodecFuzz:
 
 
 class TestHubSurvivesHostileConnections:
-    def test_garbage_connection_costs_only_itself(self):
+    def test_garbage_connection_costs_only_itself(self, process_registry):
         hub = SocketMessageBus()
         try:
             hub.register_endpoint("server")
             hub.install_session_key("server", b"k" * 32)
-            before = int(hub.metrics.counter("transport.frame_errors").value)
+            before = int(process_registry.counter("transport.frame_errors").value)
 
             hostile = socket.create_connection(hub.address, timeout=5.0)
             hostile.sendall(struct.pack("<I", MAX_FRAME_BYTES + 7) + b"junk")
@@ -195,7 +195,7 @@ class TestHubSurvivesHostileConnections:
             finally:
                 spoke.close()
             deadline_errors = int(
-                hub.metrics.counter("transport.frame_errors").value)
+                process_registry.counter("transport.frame_errors").value)
             assert deadline_errors >= before + 1
         finally:
             hub.close()

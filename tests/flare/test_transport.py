@@ -107,3 +107,48 @@ class TestSecurityChecks:
         bus = MessageBus()
         with pytest.raises(TransportError):
             bus.install_session_key("nobody", b"k")
+
+
+def test_delivery_and_codec_totals_survive_concurrent_senders():
+    """Eight threads (more than cores) with a tiny switch interval: a lost
+    read-modify-write on a per-endpoint total or a codec total shows up as
+    a short count."""
+    import sys
+    import threading
+
+    from repro.flare import wire_bytes
+
+    senders, per_sender = 8, 150
+    bus = wired_bus()
+    for i in range(senders):
+        bus.register_endpoint(f"site-{i + 2}")
+        bus.install_session_key(f"site-{i + 2}", b"client-key")
+    raw_before, _ = wire_bytes()
+
+    def send(name: str) -> None:
+        for _ in range(per_sender):
+            bus.send_shareable(name, "server", "train:result", payload())
+
+    threads = [threading.Thread(target=send, args=(f"site-{i + 2}",))
+               for i in range(senders)]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    total = senders * per_sender
+    for _ in range(total):
+        bus.receive("server", timeout=1.0)
+    sent = bus.totals(f"site-{senders + 1}")
+    assert sent["messages_delivered"] == per_sender
+    received = bus.totals("server")
+    assert received["messages_delivered"] == total
+    assert received["bytes_delivered"] == senders * sent["bytes_delivered"]
+    # every payload() encodes the 32-byte tensor once; every receive decodes
+    # nothing (the DXO stays bytes), so the codec saw exactly `total` encodes
+    assert wire_bytes()[0] - raw_before == total * np.arange(4.0).nbytes

@@ -186,11 +186,11 @@ class TestConformanceUnderFaults:
         yield deployed
         deployed.close()
 
-    def test_send_with_retry_exhausts_attempts(self, lossy):
+    def test_send_with_retry_exhausts_attempts(self, lossy, process_registry):
         policy = RetryPolicy(max_attempts=3, base_delay=0.001)
         with pytest.raises(TransportError, match="after 3 attempt"):
             send_with_retry(lossy.client_bus, CLIENT, SERVER, "task:result",
                             payload("doomed"), policy)
-        failures = lossy.client_bus.metrics.counter(
+        failures = process_registry.counter(
             "transport.send_failures", topic="task:result")
         assert int(failures.value) == 3

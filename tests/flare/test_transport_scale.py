@@ -73,7 +73,7 @@ class TestThousandEndpointState:
         assert len(bus._send_seq) == 51
         assert bus._send_seq["server"] == 100
 
-    def test_metrics_cardinality_scales_with_topics_not_peers(self):
+    def test_metrics_cardinality_scales_with_topics_not_peers(self, process_registry):
         bus = scaled_bus()
         for i in range(200):
             bus.send_shareable("server", f"site-{i}", "train", Shareable())
@@ -82,18 +82,18 @@ class TestThousandEndpointState:
             bus.receive("server", timeout=1.0)
         # two topics in flight -> instrument families stay a handful, not
         # O(peers) or O(messages)
-        assert len(bus.metrics._counters) <= 12
-        assert len(bus.metrics._histograms) <= 12
+        assert len(process_registry._counters) <= 12
+        assert len(process_registry._histograms) <= 12
 
-    def test_histogram_samples_are_bounded(self):
+    def test_histogram_samples_are_bounded(self, process_registry):
         from repro.obs.metrics import EXACT_SAMPLE_LIMIT
 
         bus = scaled_bus()
         for _ in range(EXACT_SAMPLE_LIMIT + 50):
             bus.send_shareable("server", "site-2", "train", Shareable())
             bus.receive("site-2", timeout=1.0)
-        latency = bus.metrics.histogram("transport.latency_seconds",
-                                        topic="train")
+        latency = process_registry.histogram("transport.latency_seconds",
+                                             topic="train")
         # past the exact-sample limit the raw-sample list is released and
         # only fixed-size bucket counts remain
         assert latency._samples is None

@@ -142,6 +142,24 @@ def test_broken_source_does_not_break_scrape():
     assert ("ok", {}, 1.0) in parse_prometheus_text(exporter.render())
 
 
+def test_scrape_sums_sources_that_share_a_series():
+    # the server and a worker both encode: one scrape reports both passes,
+    # the way metrics.json does after the end-of-run fold
+    server, worker = MetricsRegistry(), MetricsRegistry()
+    server.counter("transport.bytes_raw", codec="raw").inc(3)
+    worker.counter("transport.bytes_raw", codec="raw").inc(2)
+    server.histogram("codec.encode_seconds", codec="raw").observe(0.001)
+    worker.histogram("codec.encode_seconds", codec="raw").observe(0.002)
+    worker.gauge("sys.rss_bytes", process="site-1").set(7)
+    exporter = MetricsExporter(port=0, sources=[server.to_dict, worker.to_dict])
+    text = exporter.render()
+    samples = parse_prometheus_text(text)
+    assert ("transport_bytes_raw", {"codec": "raw"}, 5.0) in samples
+    assert ("codec_encode_seconds_count", {"codec": "raw"}, 2.0) in samples
+    assert ("sys_rss_bytes", {"process": "site-1"}, 7.0) in samples
+    assert text.count("transport_bytes_raw{") == 1
+
+
 # ---------------------------------------------------------------------------
 # /healthz reflects a quarantined client mid-run (chaos)
 # ---------------------------------------------------------------------------
